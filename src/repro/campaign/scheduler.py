@@ -266,7 +266,8 @@ class CampaignReport:
             lines.append(
                 f"execution tiers: {int(counters.get('vm.runs_compiled', 0))} "
                 f"compiled / {int(counters.get('vm.runs_interpreted', 0))} "
-                f"interpreted runs, compile cache {cache_hits} hits / "
+                f"interpreted runs ({int(counters.get('vm.runs_concrete', 0))} "
+                f"compiled on the concrete artifact), compile cache {cache_hits} hits / "
                 f"{compiles} compiles"
             )
         if "campaign.worker_utilization" in gauges:

@@ -17,6 +17,7 @@ from typing import Optional
 
 from ..formats.fields import FieldMap
 from ..lang.checker import Program
+from ..lang.compile import run_compiled
 from ..lang.trace import RunResult
 from ..lang.vm import VM, VMConfig
 from .traversal import RecipientName, names_at_statement
@@ -212,8 +213,6 @@ def find_insertion_points(
     """Run the recipient on the seed input and identify insertion points."""
     vm = VM(program, config=VMConfig(track_symbolic=True))
     if vm.config.use_compiled:
-        from ..lang.compile import run_compiled
-
         if required_fields:
             collector = _CompiledCollector(vm, program, required_fields)
             result = run_compiled(

@@ -61,7 +61,7 @@ from .pipeline import (
     TransferredCheck,
 )
 from .rewrite import Rewriter
-from .validation import validate_patch
+from .validation import RegressionBaseline, validate_patch
 
 
 class ContractError(RuntimeError):
@@ -275,6 +275,7 @@ class ValidationStage(Stage):
                 recipient_program, ctx.format_spec, ctx.seed, ctx.target, ctx.options
             )
 
+        baseline = RegressionBaseline(recipient_program, ctx.regression)
         transferred = None
         for patch in patches:
             point = patch.insertion_point
@@ -304,6 +305,7 @@ class ValidationStage(Stage):
                 donor_guard=excised.guard,
                 overflow_size_expr=overflow_expr,
                 checker=ctx.checker,
+                baseline=baseline,
             )
             if validation.ok:
                 transferred = TransferredCheck(
@@ -711,9 +713,9 @@ class TransferEngine:
         if not probe_inputs:
             return failures
         program = compile_program(ctx.current_source, name=ctx.recipient.full_name)
+        vm = VM(program, config=VMConfig(track_symbolic=False))
         for data in probe_inputs:
-            vm = VM(program, config=VMConfig(track_symbolic=False))
-            result = vm.run(data, field_map=ctx.format_spec.field_map(data))
+            result = vm.run(data)
             if result.error is not None:
                 failures.append((data, result.error.kind))
         return failures

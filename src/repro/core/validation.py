@@ -61,14 +61,30 @@ class ValidationOptions:
     diode_options: Optional[DiodeOptions] = None
 
 
-def _behaviour(program: Program, format_spec: FormatSpec, data: bytes) -> tuple:
-    vm = VM(program, config=VMConfig(track_symbolic=False))
-    return vm.run(data, field_map=format_spec.field_map(data)).behaviour()
+def _replay(program: Program, data: bytes):
+    """An untracked run (no field map: no byte gets a symbolic label)."""
+    return VM(program, config=VMConfig(track_symbolic=False)).run(data)
 
 
-def _run(program: Program, format_spec: FormatSpec, data: bytes):
-    vm = VM(program, config=VMConfig(track_symbolic=False))
-    return vm.run(data, field_map=format_spec.field_map(data))
+class RegressionBaseline:
+    """The unpatched recipient's behaviour on the regression corpus.
+
+    Every candidate patch of one transfer is compared against the same
+    unpatched behaviour, so each input is replayed at most once, and only
+    when some candidate's comparison reaches it.
+    """
+
+    def __init__(self, original: Program, corpus: Sequence[bytes]) -> None:
+        self.original = original
+        self.corpus = tuple(corpus)
+        self._behaviours: dict[int, tuple] = {}
+
+    def behaviour(self, index: int) -> tuple:
+        behaviour = self._behaviours.get(index)
+        if behaviour is None:
+            behaviour = _replay(self.original, self.corpus[index]).behaviour()
+            self._behaviours[index] = behaviour
+        return behaviour
 
 
 def validate_patch(
@@ -83,13 +99,19 @@ def validate_patch(
     donor_guard: Optional[Expr] = None,
     overflow_size_expr: Optional[Expr] = None,
     checker: Optional[EquivalenceChecker] = None,
+    baseline: Optional[RegressionBaseline] = None,
 ) -> ValidationOutcome:
-    """Validate a recompiled candidate patch."""
+    """Validate a recompiled candidate patch.
+
+    ``baseline`` shares the unpatched recipient's regression behaviour
+    across the candidates of one transfer; it must be built from
+    ``original`` and ``regression_corpus``.
+    """
     options = options or ValidationOptions()
     outcome = ValidationOutcome(ok=False)
 
     # Step 2: the error-triggering input must no longer trigger the error.
-    error_result = _run(patched.program, format_spec, error_input)
+    error_result = _replay(patched.program, error_input)
     if error_result.status is RunStatus.ERROR:
         outcome.failure_reason = (
             f"error still triggered: {error_result.error.kind.value} in "
@@ -99,17 +121,17 @@ def validate_patch(
     outcome.error_eliminated = True
 
     # The seed input must still be processed (the patch must not reject it).
-    seed_result = _run(patched.program, format_spec, seed)
+    seed_result = _replay(patched.program, seed)
     if not seed_result.accepted:
         outcome.failure_reason = "patched application rejects the seed input"
         return outcome
 
     # Step 3: regression suite behaviour must be preserved.
     if options.run_regression:
+        if baseline is None:
+            baseline = RegressionBaseline(original, regression_corpus)
         for index, data in enumerate(regression_corpus):
-            if _behaviour(original, format_spec, data) != _behaviour(
-                patched.program, format_spec, data
-            ):
+            if baseline.behaviour(index) != _replay(patched.program, data).behaviour():
                 outcome.failure_reason = f"regression input {index} behaviour changed"
                 return outcome
     outcome.regression_passed = True

@@ -75,6 +75,9 @@ class Diode:
         self.options = options or DiodeOptions()
         self.checker = checker or EquivalenceChecker()
         self.trials = 0
+        # One VM serves every trial: runs reset all per-run state, and an
+        # untracked run needs no field map (no byte gets a symbolic label).
+        self._trial_vm = VM(program, config=VMConfig(track_symbolic=False))
 
     # -- public API ---------------------------------------------------------------
 
@@ -109,7 +112,9 @@ class Diode:
         """Search for an input that overflows one allocation site.
 
         The trial budget applies per site (``self.trials`` accumulates the
-        total across sites as a statistic only).
+        total across sites as a statistic only).  The seed's field map is
+        parsed once per site; each trial only writes its assignment into a
+        copy of the seed and runs it untracked.
         """
         if record.symbolic is None:
             return None
@@ -127,8 +132,8 @@ class Diode:
                 break
             site_trials += 1
             self.trials += 1
-            candidate = self.format.with_values(seed, **assignment)
-            result = self._run(candidate, track_symbolic=False)
+            candidate = field_map.with_values(seed, assignment)
+            result = self._trial_vm.run(candidate)
             if self._hits_site(result, record):
                 return OverflowFinding(
                     error_input=candidate,
@@ -186,9 +191,9 @@ class Diode:
 
     # -- execution helpers --------------------------------------------------------------
 
-    def _run(self, data: bytes, track_symbolic: bool = True) -> RunResult:
-        config = VMConfig(track_symbolic=track_symbolic)
-        vm = VM(self.program, config=config)
+    def _run(self, data: bytes) -> RunResult:
+        """A tracked run: its allocation records carry symbolic sizes."""
+        vm = VM(self.program, config=VMConfig(track_symbolic=True))
         return vm.run(data, field_map=self.format.field_map(data))
 
     def _hits_site(self, result: RunResult, record: AllocationRecord) -> bool:

@@ -177,6 +177,13 @@ class FieldMap:
     def value(self, data: bytes, path: str) -> int:
         return self.field(path).read(data)
 
+    def with_values(self, data: bytes, values: Mapping[str, int]) -> bytes:
+        """A copy of ``data`` with the fields at the given paths replaced."""
+        written = bytearray(data)
+        for path, value in values.items():
+            self.field(path).write(written, value)
+        return bytes(written)
+
     def differing_fields(self, first: bytes, second: bytes) -> list[str]:
         """Field paths whose values differ between two inputs.
 
@@ -225,11 +232,9 @@ class FormatSpec(abc.ABC):
 
     def with_values(self, base: bytes, **overrides: int) -> bytes:
         """Return a copy of ``base`` with the given field values replaced."""
-        field_map = self.field_map(base)
-        data = bytearray(base)
-        for path, value in overrides.items():
-            field_map.field(_normalise_path(path)).write(data, value)
-        return bytes(data)
+        return self.field_map(base).with_values(
+            base, {_normalise_path(path): value for path, value in overrides.items()}
+        )
 
 
 def _normalise_path(path: str) -> str:

@@ -60,15 +60,18 @@ from .vm import VMError, _ErrorSignal, _ExitSignal
 # Each instruction is a tuple whose first element is the opcode.  The layouts:
 #
 #   (OP_SIMPLE,   statement_fn, marker)              VarDecl / Assign / ExprStmt
-#   (OP_IF,       condition_fn, marker, false_pc)    if: step, eval, record, jump
+#   (OP_IF,       condition_fn, marker, false_pc, mask)  if: step, eval, record, jump
 #   (OP_JUMP,     target_pc)                         end of a then-block
 #   (OP_MARK,     marker)                            while entry: step + current
-#   (OP_LOOPCOND, condition_fn, marker, exit_pc)     eval + record, no step
+#   (OP_LOOPCOND, condition_fn, marker, exit_pc, mask)   eval + record, no step
 #   (OP_LOOPSTEP, condition_pc)                      end of loop body: step, jump
 #   (OP_RET,      value_fn_or_None, marker)          return from the function
 #
 # ``marker`` is the precomputed ``(function, statement_id, line)`` tuple used
-# for error attribution (``Runtime.current``) and branch records.
+# for error attribution (``Runtime.current``) and branch records.  ``mask``
+# is the concrete artifact's: the condition type's all-ones mask, which turns
+# a signed or wrapped condition into the unsigned value a branch records
+# (``None`` in the tracked artifact, whose values carry their own).
 
 OP_SIMPLE = 0
 OP_IF = 1
@@ -131,14 +134,14 @@ class Runtime:
     Collapses the interpreter's ``VM`` + ``Frame`` + ``_InputStream`` trio
     into one slotted object: configuration is read at run time (so it is not
     a compile-cache dimension), the input stream is inlined, and trace side
-    effects accumulate as raw tuples.
+    effects accumulate as raw tuples.  The concrete artifact uses the same
+    object without a field map: its closures read ``data`` directly.
     """
 
     __slots__ = (
         "steps",
         "max_steps",
         "current",
-        "track",
         "simplify_options",
         "detect_overflow",
         "max_heap_bytes",
@@ -158,13 +161,12 @@ class Runtime:
         "frame_fields",
     )
 
-    def __init__(self, config, data: bytes, field_map) -> None:
+    def __init__(self, config, data: bytes, field_map=None) -> None:
         self.steps = 0
         self.max_steps = config.max_steps
         # Matches the interpreter's synthetic frame for errors raised before
         # any statement has executed in the current activation.
         self.current = ("<entry>", -1, 0)
-        self.track = config.track_symbolic
         self.simplify_options = config.simplify_options
         self.detect_overflow = config.detect_allocation_overflow
         self.max_heap_bytes = config.max_heap_bytes
@@ -220,11 +222,9 @@ class Runtime:
             return _U8_ZERO
         value = self.data[cursor]
         self.cursor = cursor + 1
-        if self.track:
-            symbolic = self.field_map.symbolic_byte(cursor)
-            self.fields_read.update(symbolic.fields())
-            return fast_value(value, 8, False, symbolic, value)
-        return U8_CONSTANTS[value]
+        symbolic = self.field_map.symbolic_byte(cursor)
+        self.fields_read.update(symbolic.fields())
+        return fast_value(value, 8, False, symbolic, value)
 
     def read_multi(self, size: int, big_endian: bool) -> TaintedValue:
         byte_values = [self.read_byte() for _ in range(size)]
@@ -401,6 +401,87 @@ def invoke(rt: Runtime, cf: CompiledFunction, arguments: tuple) -> object:
     return value
 
 
+def invoke_concrete(rt: Runtime, cf: CompiledFunction, arguments: list) -> object:
+    """Call a concrete-artifact function.
+
+    Call sites convert arguments to the parameter types and return
+    statements convert to the return type, so only binding is left here;
+    ``param_stores`` is empty when every parameter is a simple slot.
+    """
+    L = [None] * cf.nlocals
+    stores = cf.param_stores
+    if stores:
+        for store, argument in zip(stores, arguments):
+            store(L, argument)
+    elif arguments:
+        L[: len(arguments)] = arguments
+    saved = rt.current
+    rt.current = cf.entry_current
+    value = execute_concrete(rt, cf.code, L)
+    # Not restored on an exception: every exception that escapes a call
+    # (error, exit, VMError) ends the run.
+    rt.current = saved
+    # Fall-through and bare `return;` yield the i32 zero.
+    return 0 if value is None else value
+
+
+def execute_concrete(rt: Runtime, code: tuple, L: list) -> object:
+    """The concrete artifact's dispatch loop: :func:`execute` with plain-int
+    branch conditions recorded as ``(marker, unsigned value)`` pairs."""
+    pc = 0
+    size = len(code)
+    branches = rt.raw_branches
+    while pc < size:
+        ins = code[pc]
+        op = ins[0]
+        try:
+            if op == OP_SIMPLE:
+                rt.steps += 1
+                if rt.steps > rt.max_steps:
+                    rt.exhausted()
+                rt.current = ins[2]
+                ins[1](rt, L)
+                pc += 1
+            elif op == OP_IF:
+                rt.steps += 1
+                if rt.steps > rt.max_steps:
+                    rt.exhausted()
+                marker = ins[2]
+                rt.current = marker
+                value = ins[1](rt, L) & ins[4]
+                branches.append((marker, value))
+                pc = pc + 1 if value else ins[3]
+            elif op == OP_LOOPCOND:
+                value = ins[1](rt, L) & ins[4]
+                branches.append((ins[2], value))
+                pc = pc + 1 if value else ins[3]
+            elif op == OP_LOOPSTEP:
+                rt.steps += 1
+                if rt.steps > rt.max_steps:
+                    rt.exhausted()
+                pc = ins[1]
+            elif op == OP_JUMP:
+                pc = ins[1]
+            elif op == OP_MARK:
+                rt.steps += 1
+                if rt.steps > rt.max_steps:
+                    rt.exhausted()
+                rt.current = ins[1]
+                pc += 1
+            elif op == OP_RET:
+                rt.steps += 1
+                if rt.steps > rt.max_steps:
+                    rt.exhausted()
+                rt.current = ins[2]
+                value_fn = ins[1]
+                return value_fn(rt, L) if value_fn is not None else None
+            else:  # pragma: no cover - compiler invariant
+                raise VMError(f"unknown opcode {op}")
+        except MemoryFault as fault:
+            rt.memory_fault(fault)
+    return None
+
+
 def execute(rt: Runtime, code: tuple, L: list) -> object:
     """The dispatch loop: run one function activation to completion.
 
@@ -494,7 +575,9 @@ __all__ = [
     "convert_int",
     "deref_cell",
     "execute",
+    "execute_concrete",
     "invoke",
+    "invoke_concrete",
     "record_branch",
     "truth_of",
     "_ExitSignal",

@@ -12,6 +12,8 @@ paper's "CP recompiles the patched recipient application".
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from collections import OrderedDict
 
 from dataclasses import dataclass, field
@@ -99,6 +101,14 @@ class Program:
     @property
     def source(self) -> str:
         return self.unit.source
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """SHA-256 of the source text: the compile cache's content address.
+
+        Hashed once per program; every VM run looks its artifact up by it.
+        """
+        return hashlib.sha256(self.source.encode("utf-8")).hexdigest()
 
     def function(self, name: str) -> ast.FunctionDecl:
         try:

@@ -19,6 +19,11 @@ the :class:`~repro.lang.bytecode.CompiledProgram` form executed by
   interpreter's dynamic lookup exactly.  Address-taken names are boxed in
   :class:`~repro.lang.memory.Cell` objects so pointer identity works.
 
+This is the tracked artifact (and, with ``observed=True``, the observed
+one); :mod:`repro.lang.concrete` subclasses the compiler for the concrete
+artifact that untracked runs take, and shares the cache and run helpers
+defined here.
+
 Compiled programs are cached in a content-addressed LRU keyed by the
 SHA-256 of the program source.  The cache is the *only* place closures
 live — they are never attached to ``Program`` or ``VM`` objects, so
@@ -30,7 +35,6 @@ text, hence a new digest: stale entries are unreachable by construction.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 import threading
 import time
@@ -75,7 +79,7 @@ from .memory import (
     new_cell,
     null_pointer,
 )
-from .trace import ErrorKind, NullHooks, RunResult, RunStatus
+from .trace import NULL_HOOKS, ErrorKind, RunResult, RunStatus
 from .types import I32, IntType, PointerType, StructType, U8, U32, integer_type, promote
 from .vm import VM, VMError, _ErrorSignal, _ExitSignal
 
@@ -130,29 +134,35 @@ class _ProgramCompiler:
             name: index for index, name in enumerate(program.global_types)
         }
         self.constants: dict[tuple, TaintedValue] = {}
+        #: Constant-returning closures, one per distinct constant: they are
+        #: pure, so every literal of the same value shares one.
+        self.constant_fns: dict[tuple, object] = {}
         # Shared mutable function table: call sites close over it, so forward
         # references and recursion resolve once compilation completes.
         self.functions: dict[str, CompiledFunction] = {}
 
     def compile(self) -> CompiledProgram:
         for name in self.program.functions:
-            self.functions[name] = _FunctionCompiler(self, name).compile()
-        globals_plan = []
-        program = self.program
-        for name, ctype in program.global_types.items():
-            if isinstance(ctype, IntType):
-                init = make_value(program.global_inits.get(name, 0), ctype)
-                globals_plan.append(
-                    (name, (lambda c=ctype, v=init: Cell(declared_type=c, value=v)))
-                )
-            else:
-                globals_plan.append((name, (lambda c=ctype: new_cell(c))))
+            self.functions[name] = self.function_compiler(name).compile()
         return CompiledProgram(
-            digest=program_digest(program),
+            digest=self.program.digest,
             functions=self.functions,
-            globals_plan=tuple(globals_plan),
+            globals_plan=tuple(
+                (name, self.global_factory(name, ctype))
+                for name, ctype in self.program.global_types.items()
+            ),
             global_index=self.global_index,
         )
+
+    def function_compiler(self, name: str) -> "_FunctionCompiler":
+        return _FunctionCompiler(self, name)
+
+    def global_factory(self, name: str, ctype):
+        """A zero-argument callable making the global's fresh cell for one run."""
+        if isinstance(ctype, IntType):
+            init = self.const(self.program.global_inits.get(name, 0), ctype)
+            return lambda c=ctype, v=init: Cell(declared_type=c, value=v)
+        return lambda c=ctype: new_cell(c)
 
     def const(self, value: int, ctype: IntType) -> TaintedValue:
         key = (value, ctype.width, ctype.signed)
@@ -161,6 +171,22 @@ class _ProgramCompiler:
             cached = make_value(value, ctype)
             self.constants[key] = cached
         return cached
+
+    def const_fn(self, value: int, ctype: IntType):
+        """The closure evaluating a literal: one step, then the constant."""
+        key = (value, ctype.width, ctype.signed)
+        fn = self.constant_fns.get(key)
+        if fn is None:
+            constant = self.const(value, ctype)
+
+            def fn(rt, L, constant=constant):
+                rt.steps += 1
+                if rt.steps > rt.max_steps:
+                    rt.exhausted()
+                return constant
+
+            self.constant_fns[key] = fn
+        return fn
 
     def sizeof(self, type_text: str) -> int:
         if type_text.endswith("*"):
@@ -183,6 +209,9 @@ class _FunctionCompiler:
         self.slots: dict[str, int] = {}
         self.kinds: dict[str, int] = {}
         self.decl_types: dict[str, object] = {}
+        #: Closures of pure reads (names, field accesses, dereferences) by
+        #: :func:`_read_key`: every occurrence of the same read shares one.
+        self.read_fns: dict[object, object] = {}
         self._slot_map = None
         self._classify()
 
@@ -292,7 +321,8 @@ class _FunctionCompiler:
         elif isinstance(statement, ast.Assign):
             out.append([OP_SIMPLE, self._compile_assign(statement), marker])
         elif isinstance(statement, ast.If):
-            ins = [OP_IF, self._compile_expr(statement.condition), marker, 0]
+            condition_fn, mask = self._compile_condition(statement.condition)
+            ins = [OP_IF, condition_fn, marker, 0, mask]
             out.append(ins)
             self._compile_block(statement.then_block, out)
             if statement.else_block is not None:
@@ -306,14 +336,15 @@ class _FunctionCompiler:
         elif isinstance(statement, ast.While):
             out.append([OP_MARK, marker])
             condition_pc = len(out)
-            ins = [OP_LOOPCOND, self._compile_expr(statement.condition), marker, 0]
+            condition_fn, mask = self._compile_condition(statement.condition)
+            ins = [OP_LOOPCOND, condition_fn, marker, 0, mask]
             out.append(ins)
             self._compile_block(statement.body, out)
             out.append([OP_LOOPSTEP, condition_pc])
             ins[3] = len(out)
         elif isinstance(statement, ast.Return):
             value_fn = (
-                self._compile_expr(statement.value)
+                self._compile_return_value(statement.value)
                 if statement.value is not None
                 else None
             )
@@ -331,6 +362,15 @@ class _FunctionCompiler:
             # statements never observe: the interpreter's post-dispatch hook
             # is skipped when the return signal propagates past it.
             out.append([OP_OBS, marker, self._observation()])
+
+    def _compile_condition(self, expression: ast.Expression):
+        """``(condition_fn, mask)`` for OP_IF / OP_LOOPCOND.  This artifact
+        records branches from the condition's value itself (no mask)."""
+        return self._compile_expr(expression), None
+
+    def _compile_return_value(self, expression: ast.Expression):
+        """The OP_RET value closure (``invoke`` applies the return conversion)."""
+        return self._compile_expr(expression)
 
     def _compile_vardecl(self, statement: ast.VarDecl):
         ctype = self.pc.resolve(statement.type_ref)
@@ -534,6 +574,15 @@ class _FunctionCompiler:
         For simple slots the instance lives directly in the slot; all other
         shapes go through the cell and read ``.value`` — exactly the value
         the interpreter's ``base_cell.value`` yields."""
+        key = _read_key(expression)
+        fn = self.read_fns.get(("instance", key))
+        if fn is None:
+            fn = self._instance(expression)
+            if key is not None:
+                self.read_fns[("instance", key)] = fn
+        return fn
+
+    def _instance(self, expression: ast.Expression):
         if isinstance(expression, ast.Name):
             resolved = self._resolve_name(expression.name)
             if resolved[0] == "local" and resolved[2] == _SIMPLE:
@@ -603,60 +652,67 @@ class _FunctionCompiler:
         evaluating subexpressions."""
         if isinstance(expression, ast.IntLiteral):
             ctype = expression.ctype if isinstance(expression.ctype, IntType) else I32
-            constant = self.pc.const(expression.value, ctype)
+            return self.pc.const_fn(expression.value, ctype)
 
-            def fn(rt, L, constant=constant):
-                rt.steps += 1
-                if rt.steps > rt.max_steps:
-                    rt.exhausted()
-                return constant
+        key = _read_key(expression)
+        if key is None:
+            return self._compile_compound(expression)
+        fn = self.read_fns.get(key)
+        if fn is None:
+            if isinstance(expression, ast.Name):
+                fn = self._compile_name(expression)
+            else:
+                fn = self._compile_compound(expression)
+            self.read_fns[key] = fn
+        return fn
 
-            return fn
-
-        if isinstance(expression, ast.Name):
-            resolved = self._resolve_name(expression.name)
-            if resolved[0] == "local":
-                _, slot, kind = resolved
-                if kind == _SIMPLE:
-
-                    def fn(rt, L, slot=slot):
-                        rt.steps += 1
-                        if rt.steps > rt.max_steps:
-                            rt.exhausted()
-                        return L[slot]
-
-                    return self._noted(fn)
-                if kind == _DYN:
-                    gindex = self.pc.global_index[expression.name]
-
-                    def fn(rt, L, slot=slot, gindex=gindex):
-                        rt.steps += 1
-                        if rt.steps > rt.max_steps:
-                            rt.exhausted()
-                        cell = L[slot]
-                        if cell is None:
-                            cell = rt.gslots[gindex]
-                        return cell.value
-
-                    return self._noted(fn)
+    def _compile_name(self, expression: ast.Name):
+        """A variable read: one step, then the slot, cell or global value."""
+        resolved = self._resolve_name(expression.name)
+        if resolved[0] == "local":
+            _, slot, kind = resolved
+            if kind == _SIMPLE:
 
                 def fn(rt, L, slot=slot):
                     rt.steps += 1
                     if rt.steps > rt.max_steps:
                         rt.exhausted()
-                    return L[slot].value
+                    return L[slot]
 
                 return self._noted(fn)
-            gindex = resolved[1]
+            if kind == _DYN:
+                gindex = self.pc.global_index[expression.name]
 
-            def fn(rt, L, gindex=gindex):
+                def fn(rt, L, slot=slot, gindex=gindex):
+                    rt.steps += 1
+                    if rt.steps > rt.max_steps:
+                        rt.exhausted()
+                    cell = L[slot]
+                    if cell is None:
+                        cell = rt.gslots[gindex]
+                    return cell.value
+
+                return self._noted(fn)
+
+            def fn(rt, L, slot=slot):
                 rt.steps += 1
                 if rt.steps > rt.max_steps:
                     rt.exhausted()
-                return rt.gslots[gindex].value
+                return L[slot].value
 
             return self._noted(fn)
+        gindex = resolved[1]
 
+        def fn(rt, L, gindex=gindex):
+            rt.steps += 1
+            if rt.steps > rt.max_steps:
+                rt.exhausted()
+            return rt.gslots[gindex].value
+
+        return self._noted(fn)
+
+    def _compile_compound(self, expression: ast.Expression):
+        """Closures for every expression other than literals and names."""
         if isinstance(expression, ast.FieldAccess):
             cell_fn = self._compile_field_cell(expression)
 
@@ -1005,7 +1061,6 @@ class _FunctionCompiler:
         mask = (1 << width) - 1
         half = 1 << (width - 1)
         size = 1 << width
-        nonscalar_message = f"operator {op!r} applied to non-scalar operands"
         sym_builders = {
             "+": builder.add,
             "-": builder.sub,
@@ -1020,41 +1075,19 @@ class _FunctionCompiler:
         }
         if op not in sym_builders:
             raise VMError(f"unknown binary operator {op!r}")
-        sym_builder = sym_builders[op]
-
-        def operands(rt, L):
-            left = left_fn(rt, L)
-            right = right_fn(rt, L)
-            if (
-                left.__class__ is not TaintedValue
-                or right.__class__ is not TaintedValue
-            ):
-                raise VMError(nonscalar_message)
-            if left.width != width or left.signed != signed:
-                left = convert_int(rt, left, width, signed, False)
-            if right.width != width or right.signed != signed:
-                right = convert_int(rt, right, width, signed, False)
-            return left, right
-
-        def symbolic_of(rt, left, right):
-            left_sym = left.symbolic
-            right_sym = right.symbolic
-            if (left_sym is None and right_sym is None) or not rt.track:
-                return None
-            if left_sym is None:
-                left_sym = Constant(width=left.width, value=left.value)
-            if right_sym is None:
-                right_sym = Constant(width=right.width, value=right.value)
-            return simplify(sym_builder(left_sym, right_sym, width), rt.simplify_options)
+        # Everything a closure needs rides in its defaults, not in closure
+        # cells: artifacts stay small in the compile cache.
+        shape = (left_fn, right_fn, width, signed, op, sym_builders[op])
 
         if op in ("+", "-", "*"):
             raw_fn = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
 
-            def fn(rt, L, raw_fn=raw_fn):
+            def fn(rt, L, shape=shape, raw_fn=raw_fn, mask=mask, half=half, size=size,
+                   width=width, signed=signed):
                 rt.steps += 1
                 if rt.steps > rt.max_steps:
                     rt.exhausted()
-                left, right = operands(rt, L)
+                left, right = _operands(rt, L, shape)
                 if signed:
                     lv = left.value
                     rv = right.value
@@ -1067,29 +1100,24 @@ class _FunctionCompiler:
                     raw_fn(left_raw, right_raw) & mask,
                     width,
                     signed,
-                    symbolic_of(rt, left, right),
+                    _symbolic_of(rt, left, right, shape),
                     raw_fn(left.true_value, right.true_value),
                 )
 
             return fn
 
         if op in ("/", "%"):
-            site_id = expression.node_id
-            line = expression.line
-            fname = self.fname
-            zero_message = f"division by zero at line {line}"
-            is_div = op == "/"
+            site = (expression.node_id, self.fname, expression.line)
 
-            def fn(rt, L):
+            def fn(rt, L, shape=shape, site=site, mask=mask, half=half, size=size,
+                   width=width, signed=signed, is_div=op == "/"):
                 rt.steps += 1
                 if rt.steps > rt.max_steps:
                     rt.exhausted()
-                left, right = operands(rt, L)
-                rt.raw_divisions.append(
-                    (site_id, fname, line, right.value, right.symbolic)
-                )
+                left, right = _operands(rt, L, shape)
+                rt.raw_divisions.append((*site, right.value, right.symbolic))
                 if right.value == 0:
-                    raise MemoryFault("divide-by-zero", zero_message)
+                    raise MemoryFault("divide-by-zero", f"division by zero at line {site[2]}")
                 if signed:
                     lv = left.value
                     rv = right.value
@@ -1105,10 +1133,12 @@ class _FunctionCompiler:
                         value = -remainder if left_raw < 0 else remainder
                 else:
                     value = (
-                        left.value // right.value if is_div else left.value % right.value
+                        left.value // right.value
+                        if is_div
+                        else left.value % right.value
                     )
                 return fast_value(
-                    value & mask, width, signed, symbolic_of(rt, left, right), value
+                    value & mask, width, signed, _symbolic_of(rt, left, right, shape), value
                 )
 
             return fn
@@ -1116,43 +1146,44 @@ class _FunctionCompiler:
         if op in ("&", "|", "^"):
             bit_fn = {"&": operator.and_, "|": operator.or_, "^": operator.xor}[op]
 
-            def fn(rt, L, bit_fn=bit_fn):
+            def fn(rt, L, shape=shape, bit_fn=bit_fn, width=width, signed=signed):
                 rt.steps += 1
                 if rt.steps > rt.max_steps:
                     rt.exhausted()
-                left, right = operands(rt, L)
+                left, right = _operands(rt, L, shape)
                 value = bit_fn(left.value, right.value)
                 return fast_value(
-                    value, width, signed, symbolic_of(rt, left, right), value
+                    value, width, signed, _symbolic_of(rt, left, right, shape), value
                 )
 
             return fn
 
         if op == "<<":
 
-            def fn(rt, L):
+            def fn(rt, L, shape=shape, mask=mask, width=width, signed=signed):
                 rt.steps += 1
                 if rt.steps > rt.max_steps:
                     rt.exhausted()
-                left, right = operands(rt, L)
+                left, right = _operands(rt, L, shape)
                 shift = right.value
                 value = 0 if shift >= width else (left.value << shift) & mask
                 return fast_value(
                     value,
                     width,
                     signed,
-                    symbolic_of(rt, left, right),
+                    _symbolic_of(rt, left, right, shape),
                     left.true_value << min(shift, 256),
                 )
 
             return fn
 
         # op == ">>"
-        def fn(rt, L):
+        def fn(rt, L, shape=shape, mask=mask, half=half, size=size, width=width,
+               signed=signed):
             rt.steps += 1
             if rt.steps > rt.max_steps:
                 rt.exhausted()
-            left, right = operands(rt, L)
+            left, right = _operands(rt, L, shape)
             shift = right.value
             if signed:
                 lv = left.value
@@ -1160,7 +1191,7 @@ class _FunctionCompiler:
             else:
                 value = 0 if shift >= width else left.value >> shift
             return fast_value(
-                value & mask, width, signed, symbolic_of(rt, left, right), value
+                value & mask, width, signed, _symbolic_of(rt, left, right, shape), value
             )
 
         return fn
@@ -1369,6 +1400,54 @@ class _FunctionCompiler:
 
 _U32_ZERO = make_value(0, U32)
 
+
+def _read_key(expression: ast.Expression):
+    """A structural key for a pure read — a name, or field accesses and
+    dereferences over one — or None.  Within a function, two reads with the
+    same key compile to interchangeable closures."""
+    if isinstance(expression, ast.Name):
+        return expression.name
+    if isinstance(expression, ast.FieldAccess):
+        base = _read_key(expression.base)
+        if base is not None:
+            return (base, expression.arrow, expression.field_name)
+    elif isinstance(expression, ast.Deref):
+        base = _read_key(expression.operand)
+        if base is not None:
+            return ("*", base)
+    return None
+
+
+def _operands(rt, L, shape):
+    """Both operands of a tracked binary operator, converted to its type.
+
+    ``shape`` is ``(left_fn, right_fn, width, signed, op, sym_builder)``.
+    """
+    left_fn, right_fn, width, signed, op, _ = shape
+    left = left_fn(rt, L)
+    right = right_fn(rt, L)
+    if left.__class__ is not TaintedValue or right.__class__ is not TaintedValue:
+        raise VMError(f"operator {op!r} applied to non-scalar operands")
+    if left.width != width or left.signed != signed:
+        left = convert_int(rt, left, width, signed, False)
+    if right.width != width or right.signed != signed:
+        right = convert_int(rt, right, width, signed, False)
+    return left, right
+
+
+def _symbolic_of(rt, left, right, shape):
+    """The simplified symbolic result of a tracked binary operator."""
+    left_sym = left.symbolic
+    right_sym = right.symbolic
+    if left_sym is None and right_sym is None:
+        return None
+    if left_sym is None:
+        left_sym = Constant(width=left.width, value=left.value)
+    if right_sym is None:
+        right_sym = Constant(width=right.width, value=right.value)
+    return simplify(shape[5](left_sym, right_sym, shape[2]), rt.simplify_options)
+
+
 # -- compile cache ------------------------------------------------------------------
 
 
@@ -1377,15 +1456,16 @@ def program_digest(program: Program) -> str:
 
     Anything that changes semantics changes the source (the patcher rewrites
     source and re-checks it), so stale compiled code is unreachable by
-    construction — there is no invalidation protocol to get wrong.
+    construction — there is no invalidation protocol to get wrong.  The hash
+    is taken once per :class:`Program` (``Program.digest``).
     """
-    return hashlib.sha256(program.source.encode("utf-8")).hexdigest()
+    return program.digest
 
 
 #: LRU of digest -> CompiledProgram.  Closures live only here (never on
 #: Program/VM objects), keeping those pickle-safe; fork-started campaign
 #: workers inherit warm entries via address-space copy.
-_COMPILE_CACHE: "OrderedDict[str, CompiledProgram]" = OrderedDict()
+_COMPILE_CACHE: "OrderedDict[object, CompiledProgram]" = OrderedDict()
 _COMPILE_CACHE_CAPACITY = 128
 
 #: Guards the LRU bookkeeping (lookup + move_to_end, insert + eviction).
@@ -1403,8 +1483,21 @@ def compile_program(program: Program, observed: bool = False) -> CompiledProgram
     field-noting reads) used by the insertion-point analysis; it is cached
     under a distinct key so plain runs never pay for observation.
     """
-    digest = program_digest(program)
-    key = (digest, "observed") if observed else digest
+    return cached_artifact(
+        program,
+        "observed" if observed else None,
+        lambda: _ProgramCompiler(program, observed).compile(),
+    )
+
+
+def cached_artifact(program: Program, variant, build):
+    """The artifact ``build()`` makes for ``program``, through the LRU.
+
+    The cache key is the program digest, paired with ``variant`` for every
+    artifact but the plain tracked one (``"observed"``, ``"concrete"``).
+    """
+    digest = program.digest
+    key = digest if variant is None else (digest, variant)
     registry = obs_metrics.REGISTRY if obs_metrics.REGISTRY.enabled else None
     with _COMPILE_CACHE_LOCK:
         cached = _COMPILE_CACHE.get(key)
@@ -1416,7 +1509,7 @@ def compile_program(program: Program, observed: bool = False) -> CompiledProgram
         return cached
     tracer = obs_tracing.active()
     started = time.perf_counter() if (tracer or registry) else 0.0
-    compiled = _ProgramCompiler(program, observed).compile()
+    compiled = build()
     with _COMPILE_CACHE_LOCK:
         winner = _COMPILE_CACHE.setdefault(key, compiled)
         if winner is compiled:
@@ -1433,6 +1526,7 @@ def compile_program(program: Program, observed: bool = False) -> CompiledProgram
             "vm",
             time.perf_counter() - started,
             digest=digest[:12],
+            variant=variant or "tracked",
             functions=len(compiled.functions),
         )
     return compiled
@@ -1464,39 +1558,61 @@ def run_compiled(
     entry: str = "main",
     observer=None,
 ) -> RunResult:
-    """Execute ``vm.program`` on the compiled tier.
+    """Execute ``vm.program`` on the compiled tier's tracked artifact.
 
-    Mirrors ``VM.run`` for un-hooked runs: same result object shape, same
-    ``vm.globals``/``vm.result`` postconditions, same telemetry names — plus
-    ``tier="compiled"`` on the span and compiled-tier counters.
+    Mirrors ``VM.run`` for un-hooked tracked runs: same result object shape,
+    same ``vm.globals``/``vm.result`` postconditions, same telemetry names —
+    plus ``tier="compiled"`` on the span and compiled-tier counters.  The
+    tracked artifact always tracks symbolic state; ``VM.run`` sends
+    untracked runs to the concrete artifact (:mod:`repro.lang.concrete`).
 
     ``observer`` (a callable ``observer(rt, marker, slot_map, L)``) selects
     the observed artifact and is invoked at every post-statement OP_OBS
     point — the compiled counterpart of ``Hooks.on_statement``.
     """
-    tracer = obs_tracing.active()
-    registry = obs_metrics.REGISTRY if obs_metrics.REGISTRY.enabled else None
-    started = time.perf_counter() if (tracer or registry) else 0.0
-
+    started = run_started()
     compiled = compile_program(vm.program, observed=observer is not None)
     if field_map is None:
         field_map = RawFormat().field_map(data)
     rt = Runtime(vm.config, data, field_map)
     rt.observer = observer
+    result = execute_artifact(vm, compiled, rt, invoke, entry)
+    result.fields_read = frozenset(rt.fields_read)
+    rt.finalize(result)
+    run_finished(result, entry, "compiled", started)
+    return result
+
+
+def run_started() -> float:
+    """The start time a run's telemetry needs (0.0 when telemetry is off)."""
+    if obs_tracing.active() or obs_metrics.REGISTRY.enabled:
+        return time.perf_counter()
+    return 0.0
+
+
+def execute_artifact(vm: VM, compiled: CompiledProgram, rt: Runtime, invoke_fn, entry: str):
+    """Run ``entry`` of a compiled artifact with fresh globals.
+
+    Leaves the ``vm.globals``/``vm.heap``/``vm.result`` postconditions of an
+    interpreter run and returns the result with status, exit code, error,
+    output and steps; the caller adds the trace records.
+    """
     vm.globals = {}
     gslots = rt.gslots
     for name, make_cell in compiled.globals_plan:
         cell = make_cell()
         vm.globals[name] = cell
         gslots.append(cell)
-    vm.hooks = NullHooks()
+    vm.hooks = NULL_HOOKS
     vm.heap = rt.heap
-    result = RunResult(status=RunStatus.OK)
+    result = RunResult(status=RunStatus.OK, output=rt.output)
     vm.result = result
     try:
-        value = invoke(rt, compiled.functions[entry], ())
-        result.status = RunStatus.OK
-        result.exit_code = value.as_int if isinstance(value, TaintedValue) else 0
+        value = invoke_fn(rt, compiled.functions[entry], ())
+        if value.__class__ is TaintedValue:
+            result.exit_code = value.as_int
+        elif isinstance(value, int):  # the concrete artifact's integers
+            result.exit_code = int(value)
     except _ExitSignal as signal:
         result.status = RunStatus.EXIT
         result.exit_code = signal.code
@@ -1505,22 +1621,27 @@ def run_compiled(
         result.error = signal.report
         result.exit_code = 1
     result.steps = rt.steps
-    result.fields_read = frozenset(rt.fields_read)
-    result.output.extend(rt.output)
-    rt.finalize(result)
+    return result
+
+
+def run_finished(result: RunResult, entry: str, tier: str, started: float) -> None:
+    """Record a compiled run's counters and ``vm-run`` span."""
+    registry = obs_metrics.REGISTRY if obs_metrics.REGISTRY.enabled else None
     if registry is not None:
         registry.inc("vm.runs")
         registry.inc("vm.runs_compiled")
-        registry.inc("vm.instructions_retired", rt.steps)
+        if tier == "concrete":
+            registry.inc("vm.runs_concrete")
+        registry.inc("vm.instructions_retired", result.steps)
         registry.observe("vm.run_seconds", time.perf_counter() - started)
+    tracer = obs_tracing.active()
     if tracer is not None:
         tracer.record(
             "vm-run",
             "vm",
             time.perf_counter() - started,
             entry=entry,
-            steps=rt.steps,
+            steps=result.steps,
             status=result.status.name,
-            tier="compiled",
+            tier=tier,
         )
-    return result

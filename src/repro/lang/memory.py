@@ -118,9 +118,32 @@ def fast_value(
 
 _TV_NEW = TaintedValue.__new__
 
-#: Interned untainted byte values: the compiled tier's arena loads and
-#: untracked input reads produce these instead of allocating.
+#: Interned untainted byte values: the compiled tier's arena loads
+#: produce these instead of allocating.
 U8_CONSTANTS = tuple(TaintedValue(value, 8) for value in range(256))
+
+
+class WrappedInt(int):
+    """A concrete-artifact integer whose true value differs from its wrapped one.
+
+    The concrete artifact (:mod:`repro.lang.concrete`) represents an integer
+    as a plain ``int``: the value read in its statically known type, whose
+    infinite-precision true value is the same number.  Only when the two
+    differ — a computation wrapped, or a conversion changed the reading —
+    does it carry this subclass, whose ``int`` value is the wrapped one and
+    whose ``true_value`` is the true one.  Every operation that ignores true
+    values (comparisons, bit operations, branches, output) therefore works
+    on it unchanged.
+    """
+
+    true_value: int
+
+
+def wrapped_int(value: int, true_value: int) -> WrappedInt:
+    """A :class:`WrappedInt` reading ``value`` with the given true value."""
+    wrapped = WrappedInt(value)
+    wrapped.true_value = true_value
+    return wrapped
 
 
 _object_counter = itertools.count(1)
@@ -206,6 +229,35 @@ class ArenaBuffer(Buffer):
                 return shadowed
         return U8_CONSTANTS[data[index]]
 
+    # -- concrete artifact: plain ints in, plain ints out ----------------------------
+
+    def store_int(self, index: int, value: int) -> None:
+        """Store a u8 concrete value (an ``int`` or :class:`WrappedInt`).
+
+        The heap ends up exactly as :meth:`store` would leave it for the
+        equivalent untainted :class:`TaintedValue`.
+        """
+        data = self.data
+        if data is not None and 0 <= index < self.size and value.__class__ is int:
+            data[index] = value
+            if self.contents:
+                self.contents.pop(index, None)
+            return
+        if value.__class__ is int:
+            self.store(index, U8_CONSTANTS[value])
+        else:
+            self.store(index, fast_value(int(value), 8, False, None, value.true_value))
+
+    def load_int(self, index: int) -> int:
+        """Load a u8 as a concrete value (an ``int`` or :class:`WrappedInt`)."""
+        data = self.data
+        if data is not None and 0 <= index < self.size and not self.contents:
+            return data[index]
+        loaded = self.load(index)
+        if loaded.true_value == loaded.value:
+            return loaded.value
+        return wrapped_int(loaded.value, loaded.true_value)
+
 
 @dataclass
 class Cell:
@@ -249,10 +301,17 @@ def null_pointer(pointee: Type) -> Pointer:
     return Pointer(target=None, pointee_type=pointee)
 
 
+#: Interned zero values per integer type (values are immutable).
+_ZEROS: dict[IntType, TaintedValue] = {}
+
+
 def instantiate(ctype: Type) -> Union[TaintedValue, StructInstance, Pointer]:
     """Default (zero) value for a declared type."""
     if isinstance(ctype, IntType):
-        return make_value(0, ctype)
+        zero = _ZEROS.get(ctype)
+        if zero is None:
+            zero = _ZEROS.setdefault(ctype, make_value(0, ctype))
+        return zero
     if isinstance(ctype, PointerType):
         return null_pointer(ctype.pointee)
     if isinstance(ctype, StructType):

@@ -19,7 +19,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
+from ..symbolic import builder
 from ..symbolic.expr import Expr
+from ..symbolic.simplify import simplify
 
 
 class ErrorKind(enum.Enum):
@@ -158,9 +160,6 @@ class RunResult:
 def materialize_branches(raw: list, simplify_options) -> list[BranchRecord]:
     """Build :class:`BranchRecord` objects from ``(marker, taken, value,
     symbolic)`` tuples, where ``marker`` is ``(function, branch_id, line)``."""
-    from ..symbolic import builder
-    from ..symbolic.simplify import simplify
-
     records = []
     for sequence, (marker, taken, condition_value, symbolic) in enumerate(raw):
         if symbolic is not None:
@@ -176,6 +175,30 @@ def materialize_branches(raw: list, simplify_options) -> list[BranchRecord]:
                 sequence=sequence,
             )
         )
+    return records
+
+
+def materialize_concrete_branches(raw: list) -> list[BranchRecord]:
+    """Build :class:`BranchRecord` objects from the concrete artifact's
+    ``(marker, condition_value)`` pairs: no symbolic half, and ``taken`` is
+    ``condition_value != 0`` exactly as the interpreter derives it."""
+    new = object.__new__
+    records = []
+    append = records.append
+    for sequence, (marker, condition_value) in enumerate(raw):
+        # A frozen dataclass's __init__ goes through object.__setattr__ per
+        # field; filling __dict__ directly builds the identical record.
+        record = new(BranchRecord)
+        record.__dict__.update(
+            branch_id=marker[1],
+            function=marker[0],
+            line=marker[2],
+            taken=condition_value != 0,
+            condition_value=condition_value,
+            symbolic=None,
+            sequence=sequence,
+        )
+        append(record)
     return records
 
 
@@ -257,3 +280,7 @@ class NullHooks:
 
     def on_return(self, vm, frame) -> None:
         return None
+
+
+#: Shared do-nothing hooks for runs that install none.
+NULL_HOOKS = NullHooks()

@@ -27,7 +27,7 @@ from ..symbolic import builder
 from ..symbolic.expr import Constant, Expr
 from ..symbolic.simplify import SimplifyOptions, simplify
 from . import ast
-from .checker import BUILTIN_SIGNATURES, Program
+from .checker import BUILTIN_SIGNATURES, Checker, Program
 from .memory import (
     Buffer,
     Cell,
@@ -51,7 +51,19 @@ from .trace import (
     RunResult,
     RunStatus,
 )
-from .types import I32, IntType, PointerType, StructType, Type, U8, U16, U32, U64, promote
+from .types import (
+    I32,
+    IntType,
+    PointerType,
+    StructType,
+    Type,
+    U8,
+    U16,
+    U32,
+    U64,
+    integer_type,
+    promote,
+)
 
 Value = Union[TaintedValue, Pointer, StructInstance]
 
@@ -187,18 +199,32 @@ class VM:
         hooks: Optional[Hooks] = None,
         entry: str = "main",
     ) -> RunResult:
-        """Execute the program on ``data`` and return the run result."""
+        """Execute the program on ``data`` and return the run result.
+
+        Un-hooked runs take the compiled tier when ``use_compiled`` is set:
+        the tracked artifact, or for ``track_symbolic=False`` the concrete
+        one (which ignores ``field_map``: no byte gets a symbolic label).
+        """
         if self.config.use_compiled and (hooks is None or isinstance(hooks, NullHooks)):
-            from .compile import run_compiled
+            if self.config.track_symbolic:
+                return run_compiled(self, data, field_map=field_map, entry=entry)
+            return run_concrete(self, data, entry=entry)
+        return self.interpret(data, field_map=field_map, hooks=hooks, entry=entry)
 
-            return run_compiled(self, data, field_map=field_map, entry=entry)
-
+    def interpret(
+        self,
+        data: bytes,
+        field_map: Optional[FieldMap] = None,
+        hooks: Optional[Hooks] = None,
+        entry: str = "main",
+    ) -> RunResult:
+        """Execute the program on the interpreter tier."""
         # Observability hook: one flag check each when telemetry is off.
         tracer = obs_tracing.active()
         registry = obs_metrics.REGISTRY if obs_metrics.REGISTRY.enabled else None
         started = time.perf_counter() if (tracer or registry) else 0.0
 
-        if field_map is None:
+        if field_map is None and self.config.track_symbolic:
             field_map = RawFormat().field_map(data)
         self.globals = {}
         for name, ctype in self.program.global_types.items():
@@ -383,8 +409,6 @@ class VM:
             self._type_cache = cached
         if statement.node_id in cached:
             return cached[statement.node_id]
-        from .checker import Checker
-
         checker = Checker(self.program.unit)
         checker.struct_table = self.program.struct_table
         resolved = checker._resolve(statement.type_ref)
@@ -880,8 +904,6 @@ class VM:
         if type_text.startswith("struct "):
             struct = self.program.struct_table.lookup(type_text[len("struct ") :])
             return sum(self._sizeof(str(field.type)) for field in struct.fields)
-        from .types import integer_type
-
         resolved = integer_type(type_text)
         return (resolved.width // 8) if resolved is not None else 8
 
@@ -1019,3 +1041,8 @@ def run_program(
 ) -> RunResult:
     """Convenience wrapper: build a VM and run ``program`` on ``data``."""
     return VM(program, config=config).run(data, field_map=field_map, hooks=hooks)
+
+
+# The compiled tiers import this module, so they are bound after it is defined.
+from .compile import run_compiled  # noqa: E402
+from .concrete import run_concrete  # noqa: E402

@@ -207,10 +207,11 @@ class TestRealTransferCoverage:
         tracer, _ = traced_transfer
         vm_spans = [span for span in tracer.spans if span.name == "vm-run"]
         tiers = {span.attrs.get("tier") for span in vm_spans}
-        assert tiers <= {"compiled", "interpreter"}
+        assert tiers <= {"compiled", "concrete", "interpreter"}
         assert None not in tiers
-        # The compiled tier is the default, so it must dominate the trace.
-        assert "compiled" in tiers
+        # The compiled tier is the default: tracked runs use its tracked
+        # artifact, untracked ones (DIODE trials, replays) its concrete one.
+        assert {"compiled", "concrete"} <= tiers
 
     def test_interpreter_runs_are_labeled_as_such(self):
         from repro.lang import VM, VMConfig, compile_program
@@ -220,7 +221,8 @@ class TestRealTransferCoverage:
         with trace_session(tracer):
             VM(program, config=VMConfig(use_compiled=False)).run(b"")
             VM(program, config=VMConfig(use_compiled=True)).run(b"")
+            VM(program, config=VMConfig(use_compiled=True, track_symbolic=False)).run(b"")
         tiers = [
             span.attrs["tier"] for span in tracer.spans if span.name == "vm-run"
         ]
-        assert tiers == ["interpreter", "compiled"]
+        assert tiers == ["interpreter", "compiled", "concrete"]
