@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from ..lang.checker import Program, compile_program
+from ..lang.compile import evicting_new_artifacts
 from ..lang.trace import ErrorKind
 
 
@@ -112,18 +113,26 @@ def scoped_registration(*applications: Application) -> Iterator[tuple[Applicatio
     is the supported way to do that.  Registration is all-or-nothing: if one
     application clashes with an existing name, the ones registered so far
     are removed before the error propagates.
+
+    The scope also takes its compiled artifacts with it: compiled VM
+    artifacts, checked programs and parsed patch units first cached inside
+    the block are evicted on exit
+    (:func:`repro.lang.compile.evicting_new_artifacts`), so a long-lived
+    campaign worker holds no more of them after a generated transfer than
+    before it.  Entries that existed before the block stay.
     """
     registered: list[str] = []
-    try:
-        for application in applications:
-            register_application(application)
-            registered.append(application.name)
-        yield applications
-    finally:
-        for name in reversed(registered):
-            _APPLICATIONS.pop(name, None)
-        if registered:
-            _compile_cached.cache_clear()
+    with evicting_new_artifacts():
+        try:
+            for application in applications:
+                register_application(application)
+                registered.append(application.name)
+            yield applications
+        finally:
+            for name in reversed(registered):
+                _APPLICATIONS.pop(name, None)
+            if registered:
+                _compile_cached.cache_clear()
 
 
 def get_application(name: str) -> Application:

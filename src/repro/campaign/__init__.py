@@ -7,16 +7,17 @@ into a first-class *campaign*:
 * :mod:`repro.campaign.plan` — expand any subset/cross-product of
   ``ERROR_CASES x donors x option variants`` into deterministic, content-
   addressed jobs;
-* :mod:`repro.campaign.scheduler` — run the jobs over a multiprocess worker
-  pool with per-job timeouts and retry-on-crash;
+* :mod:`repro.campaign.scheduler` — run the jobs over a pool of long-lived
+  worker processes with per-attempt timeouts and retry-on-crash;
 * :mod:`repro.campaign.store` — append-only JSONL run store so an
   interrupted campaign resumes where it left off;
 * :mod:`repro.campaign.cache` — a persistent, cross-process solver query
   cache that extends the paper's §3.3 query-caching optimisation from one
   transfer to the whole campaign, and its partitioned key-space variant
   for distributed runs;
-* :mod:`repro.campaign.execution` — the attempt/retry/outbox machinery
-  shared with the coordinator/worker-node engine in :mod:`repro.dist`.
+* :mod:`repro.campaign.execution` — the execution core (worker loop,
+  worker pool, outbox transport, attempt ledger) shared with the
+  coordinator/worker-node engine in :mod:`repro.dist`.
 """
 
 from .cache import (

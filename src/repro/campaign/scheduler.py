@@ -1,12 +1,20 @@
-"""Multiprocess campaign scheduler with retry, timeout, and resume.
+"""Single-host campaign scheduler with retry, timeout, and resume.
 
-The scheduler owns the control plane of a campaign: it launches each pending
-job in its own worker process (up to ``jobs`` concurrently), collects results,
-and appends every attempt to the :class:`RunStore`.  Workers are isolated
-processes, so a crashing transfer (or one killed by the per-job timeout)
-cannot take the campaign down — the attempt is recorded and the job retried
-up to ``retries`` extra times (crashes, timeouts, and runner exceptions all
-count as failed attempts).
+The scheduler owns the control plane of a campaign on one host: it starts
+``jobs`` long-lived worker processes once per :meth:`CampaignScheduler.run`,
+hands each pending job to the next idle worker, and appends every attempt
+to the :class:`RunStore`.  Workers run the same loop as the ``--nodes``
+coordinator's (:func:`repro.campaign.execution.worker_loop`): take a job,
+run it, publish the payload, ring the doorbell.  Between doorbells the
+scheduler blocks on the doorbell queue until the next one arrives or the
+nearest attempt deadline passes; ``poll_interval_s`` only caps that wait,
+so a worker that died without ringing is noticed within it.
+
+A crashing transfer (or one killed by the per-attempt timeout) cannot take
+the campaign down: only its worker dies, the attempt is recorded, the job
+is retried up to ``retries`` extra times (crashes, timeouts, and runner
+exceptions all count as failed attempts), and a replacement worker takes
+the dead one's slot.
 
 Result transport is split in two to stay robust against ``terminate()``:
 
@@ -17,13 +25,13 @@ Result transport is split in two to stay robust against ``terminate()``:
   mid-send cannot leave a torn pickle frame that poisons the queue.
 
 The outbox file, not the queue message, is the ground truth for a worker
-that exited cleanly: if the doorbell is lost or late, the scheduler recovers
-the result from the file instead of misclassifying the job as crashed.
+that dies after publishing: the scheduler recovers the result from the
+file instead of misclassifying the job as crashed.
 
 Retry semantics
 ---------------
 
-A job gets ``1 + retries`` attempts.  Crashes (non-zero worker exit),
+A job gets ``1 + retries`` attempts.  Crashes (the worker exits),
 per-attempt timeouts, runner exceptions, and unreadable result payloads all
 count as failed attempts; *every* attempt — including the failed ones — is
 appended to the store, so a resumed run sees the full history.  Retried jobs
@@ -55,43 +63,24 @@ The worker entry point is :func:`repro.experiments.execute_job`, which runs
 each transfer through the :mod:`repro.api` facade — the scheduler knows
 nothing about pipeline stages; the per-stage timing breakdown each worker
 reports (``stage_timings`` on the record) is persisted with every attempt
-and aggregated into the :class:`CampaignReport`.  Tests inject a stub
-``runner`` (any module-level callable with the same signature) to exercise
-scheduling policies without running real transfers.
+and aggregated into the :class:`CampaignReport`.  Each job builds its own
+session and resets the worker's metrics registry, so a long-lived worker
+reports exactly what every job did.  Tests inject a stub ``runner`` (any
+module-level callable with the same signature) to exercise scheduling
+policies without running real transfers.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import queue as queue_module
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from ..obs import metrics as obs_metrics
-from .execution import (
-    AttemptLedger,
-    ClassAccountant,
-    account_completed,
-    account_skipped,
-    discard_payload,
-    payload_exists,
-    read_payload,
-    remove_outbox,
-    reset_outbox,
-    write_payload,
-)
+from .execution import ClassAccountant, Worker, WorkerPool, pending_jobs
 from .plan import CampaignPlan, JobSpec
-from .store import (
-    STATUS_CRASHED,
-    STATUS_DONE,
-    STATUS_ERROR,
-    STATUS_TIMEOUT,
-    JobResult,
-    RunStore,
-)
+from .store import JobResult, RunStore
 
 #: A runner maps (job payload, persistent cache path) -> result payload with
 #: a ``record`` dict and an ``elapsed_s`` float.  Must be picklable
@@ -106,8 +95,8 @@ def default_job_runner(payload: dict, cache_path: Optional[str]) -> dict:
     (persisted to the store's ``events/`` directory for ``codephage trace``
     and ``codephage bundle``) and a per-job metrics snapshot: the worker's
     registry is reset and enabled around the transfer, so the snapshot is
-    exactly this attempt's counters even under fork-started workers that
-    inherit parent registry state.
+    exactly this job's counters in a long-lived worker that ran others
+    before it, or that inherited the parent's registry state by fork.
     """
     from ..core.events import events_as_dicts
     from ..core.reporting import TransferRecord
@@ -127,34 +116,6 @@ def default_job_runner(payload: dict, cache_path: Optional[str]) -> dict:
     }
 
 
-def _worker_main(
-    runner: Runner,
-    payload: dict,
-    cache_path: Optional[str],
-    results,
-    attempt: int,
-    outbox: str,
-) -> None:
-    job_id = payload.get("job_id", "")
-    try:
-        result = runner(payload, cache_path)
-        write_payload(outbox, job_id, attempt, result)
-        message = {
-            "job_id": job_id,
-            "attempt": attempt,
-            "ok": True,
-            "elapsed_s": result.get("elapsed_s", 0.0),
-        }
-    except Exception as exc:  # noqa: BLE001 - report, parent decides on retry
-        message = {
-            "job_id": job_id,
-            "attempt": attempt,
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}"[:300],
-        }
-    results.put(message)
-
-
 @dataclass
 class SchedulerOptions:
     """Control-plane knobs."""
@@ -162,7 +123,7 @@ class SchedulerOptions:
     jobs: int = 1
     timeout_s: Optional[float] = None   # per-attempt wall-clock limit
     retries: int = 1                    # extra attempts after crash/timeout/error
-    poll_interval_s: float = 0.02
+    poll_interval_s: float = 0.02       # longest wait before a liveness check
     start_method: Optional[str] = None  # default: fork when available
     use_persistent_cache: bool = True
 
@@ -273,7 +234,8 @@ class CampaignReport:
         if "campaign.worker_utilization" in gauges:
             lines.append(
                 f"workers: {gauges['campaign.worker_utilization']:.0%} utilized, "
-                f"peak queue depth {int(gauges.get('campaign.queue_depth_peak', 0))}"
+                f"peak queue depth {int(gauges.get('campaign.queue_depth_peak', 0))}, "
+                f"{int(counters.get('campaign.worker_respawns', 0))} respawned"
             )
         if "dist.nodes" in gauges:
             lines.append(
@@ -321,16 +283,50 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-@dataclass
-class _Running:
-    process: multiprocessing.Process
-    job: JobSpec
-    attempt: int
-    started_at: float
+class _SlotPool(WorkerPool):
+    """Scheduler placement: ``slots`` interchangeable workers, one FIFO queue."""
+
+    def __init__(self, scheduler, report, pending, on_result) -> None:
+        super().__init__(scheduler, report, pending, on_result)
+        self.pending = deque(pending)
+        self.slots = max(1, scheduler.options.jobs)
+        self.cache_path = (
+            str(scheduler.store.cache_path)
+            if scheduler.options.use_persistent_cache
+            else None
+        )
+        self.respawns = 0
+        self.queue_peak = 0
+        self.busy_peak = 0
+        for _ in range(min(self.slots, len(pending))):
+            self.spawn()
+
+    def spawn(self) -> None:
+        self.start(Worker(f"worker-{len(self.workers)}"), self.cache_path)
+
+    def claim(self, worker: Worker) -> Optional[JobSpec]:
+        if not self.pending:
+            return None
+        job = self.pending.popleft()
+        busy = 1 + sum(peer.busy for peer in self.live.values())
+        self.queue_peak = max(self.queue_peak, len(self.pending))
+        self.busy_peak = max(self.busy_peak, busy)
+        # Live readings for progress observers (no-ops while disabled).
+        obs_metrics.set_gauge("campaign.queue_depth", len(self.pending))
+        obs_metrics.set_gauge("campaign.workers_active", busy)
+        return job
+
+    def requeue(self, job: JobSpec) -> None:
+        self.pending.append(job)
+
+    def replace(self, worker: Worker, status: str) -> None:
+        # Keep every slot in use: a lost worker always gets a successor.
+        self.spawn()
+        self.respawns += 1
 
 
 class CampaignScheduler:
-    """Schedules a plan's pending jobs over a pool of worker processes."""
+    """Schedules a plan's pending jobs over a pool of long-lived workers."""
 
     def __init__(
         self,
@@ -347,247 +343,35 @@ class CampaignScheduler:
         # job_class maps a job to its reporting class (the scenario matrix
         # passes each case's ErrorKind): either a callable over JobSpec or a
         # mapping keyed by case id.  Runs in the parent process only.
-        self._accountant = ClassAccountant(job_class)
+        self.accountant = ClassAccountant(job_class)
 
     # -- public API ------------------------------------------------------------------
 
     def run(self, on_result: Optional[Callable[[JobSpec, JobResult], None]] = None) -> CampaignReport:
         """Run every pending job; returns the report for *this* invocation."""
         start = time.perf_counter()
-        stored = self.store.results()
-        completed_before = {
-            job_id for job_id, result in stored.items() if result.completed
-        }
-        pending = deque(
-            job for job in self.plan.jobs if job.job_id not in completed_before
-        )
         report = CampaignReport(
             plan_name=self.plan.name,
             total_jobs=len(self.plan.jobs),
-            skipped=len(self.plan.jobs) - len(pending),
             cache_enabled=self.options.use_persistent_cache,
         )
-        if report.skipped:
-            # Skipped jobs still count toward per-class rates: take their
-            # verdict from the stored record so a resumed run reports the
-            # same rates as an uninterrupted one.
-            account_skipped(report, self.plan, stored, self._accountant)
-        cache_path = (
-            str(self.store.cache_path) if self.options.use_persistent_cache else None
-        )
-        outbox = reset_outbox(self.store)  # leftovers from a killed run
+        pending = pending_jobs(self.plan, self.store, report, self.accountant)
+        pool = _SlotPool(self, report, pending, on_result)
+        pool.serve()
 
-        method = self.options.start_method
-        if method is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        ctx = multiprocessing.get_context(method)
-        results: multiprocessing.Queue = ctx.Queue()
-        running: dict[str, _Running] = {}
-        ledger = AttemptLedger(self.options.retries)
-        slots = max(1, self.options.jobs)
-        # Control-plane telemetry: peak depth/occupancy and total worker-busy
-        # seconds (for the utilization gauge folded into report.metrics).
-        peak = {"queue": 0, "workers": 0}
-        busy = {"s": 0.0}
-
-        def finish(entry: _Running, result: JobResult) -> None:
-            """Record one settled attempt and decide what happens next."""
-            busy["s"] += time.perf_counter() - entry.started_at
-            self.store.append(result)
-            if result.completed:
-                account_completed(report, result)
-                report.completed += 1
-                self._accountant.account(
-                    report, entry.job, completed=True,
-                    success=bool((result.record or {}).get("success")),
-                )
-            elif not ledger.exhausted(entry.job.job_id):
-                # Retries go to the back of the queue: other jobs are not
-                # starved behind a flapping one.
-                pending.append(entry.job)
-            else:
-                report.failed.append(entry.job.job_id)
-                self._accountant.account(report, entry.job, completed=False)
-            if on_result is not None:
-                on_result(entry.job, result)
-
-        def settle(entry: _Running, ok: bool, elapsed_s: float, error: str) -> None:
-            running.pop(entry.job.job_id, None)
-            entry.process.join(timeout=5)
-            if ok:
-                try:
-                    payload = read_payload(outbox, entry.job.job_id, entry.attempt)
-                except (OSError, json.JSONDecodeError) as exc:
-                    finish(
-                        entry,
-                        JobResult(
-                            job_id=entry.job.job_id,
-                            status=STATUS_ERROR,
-                            attempt=entry.attempt,
-                            error=f"result payload unreadable: {exc}",
-                        ),
-                    )
-                    return
-                finally:
-                    discard_payload(outbox, entry.job.job_id, entry.attempt)
-                events = payload.get("events") or []
-                if events:
-                    self.store.write_events(entry.job.job_id, events)
-                snapshot = payload.get("metrics")
-                if snapshot:
-                    obs_metrics.merge_snapshots(report.metrics, snapshot)
-                finish(
-                    entry,
-                    JobResult(
-                        job_id=entry.job.job_id,
-                        status=STATUS_DONE,
-                        attempt=entry.attempt,
-                        elapsed_s=elapsed_s or payload.get("elapsed_s", 0.0),
-                        record=payload.get("record"),
-                    ),
-                )
-            else:
-                discard_payload(outbox, entry.job.job_id, entry.attempt)
-                finish(
-                    entry,
-                    JobResult(
-                        job_id=entry.job.job_id,
-                        status=STATUS_ERROR,
-                        attempt=entry.attempt,
-                        error=error,
-                    ),
-                )
-
-        def handle(message: dict) -> None:
-            entry = running.get(message.get("job_id", ""))
-            if entry is None or message.get("attempt") != entry.attempt:
-                # No live attempt, or a doorbell from an attempt already
-                # written off (e.g. terminated for timeout after it rang):
-                # drop it — and its payload — rather than crediting the
-                # currently running attempt with a stale record.
-                job_id = message.get("job_id", "")
-                attempt = message.get("attempt")
-                if job_id and isinstance(attempt, int):
-                    discard_payload(outbox, job_id, attempt)
-                return
-            settle(
-                entry,
-                ok=bool(message.get("ok")),
-                elapsed_s=message.get("elapsed_s", 0.0),
-                error=message.get("error", ""),
-            )
-
-        def drain(block_s: float = 0.0) -> None:
-            deadline = time.perf_counter() + block_s
-            while True:
-                try:
-                    handle(results.get_nowait())
-                except queue_module.Empty:
-                    if time.perf_counter() >= deadline:
-                        return
-                    time.sleep(0.005)
-
-        while pending or running:
-            while pending and len(running) < slots:
-                job = pending.popleft()
-                attempt = ledger.begin(job.job_id)
-                process = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        self.runner,
-                        job.to_dict(),
-                        cache_path,
-                        results,
-                        attempt,
-                        str(outbox),
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                running[job.job_id] = _Running(process, job, attempt, time.perf_counter())
-
-            peak["queue"] = max(peak["queue"], len(pending))
-            peak["workers"] = max(peak["workers"], len(running))
-            # Live readings for progress observers (no-ops while disabled).
-            obs_metrics.set_gauge("campaign.queue_depth", len(pending))
-            obs_metrics.set_gauge("campaign.workers_active", len(running))
-
-            drain()
-            for job_id, entry in list(running.items()):
-                if job_id not in running:
-                    continue  # resolved by a drain() earlier in this scan
-                # Recomputed per entry: an earlier blocking drain in this
-                # scan must not let other workers overrun their deadline.
-                now = time.perf_counter()
-                timed_out = (
-                    self.options.timeout_s is not None
-                    and now - entry.started_at > self.options.timeout_s
-                )
-                if timed_out and entry.process.is_alive():
-                    # A result may have arrived at the deadline; prefer it.
-                    drain()
-                    if job_id not in running:
-                        continue
-                    entry.process.terminate()
-                    entry.process.join(timeout=1)
-                    running.pop(job_id, None)
-                    discard_payload(outbox, job_id, entry.attempt)
-                    finish(
-                        entry,
-                        JobResult(
-                            job_id=job_id,
-                            status=STATUS_TIMEOUT,
-                            attempt=entry.attempt,
-                            elapsed_s=now - entry.started_at,
-                            error=f"timed out after {self.options.timeout_s}s",
-                        ),
-                    )
-                elif not entry.process.is_alive():
-                    # The worker exited: give its doorbell a moment to arrive.
-                    # Only a clean exit can have rung one, so don't stall the
-                    # control loop waiting on a killed worker's silence.
-                    drain(block_s=0.25 if entry.process.exitcode == 0 else 0.0)
-                    if job_id not in running:
-                        continue
-                    # Doorbell lost or late — the outbox file is the ground
-                    # truth for a worker that exited cleanly.
-                    if entry.process.exitcode == 0 and payload_exists(
-                        outbox, job_id, entry.attempt
-                    ):
-                        settle(entry, ok=True, elapsed_s=0.0, error="")
-                        continue
-                    running.pop(job_id, None)
-                    finish(
-                        entry,
-                        JobResult(
-                            job_id=job_id,
-                            status=STATUS_CRASHED,
-                            attempt=entry.attempt,
-                            error=f"worker exited with code {entry.process.exitcode}",
-                        ),
-                    )
-
-            if running:
-                time.sleep(self.options.poll_interval_s)
-
-        results.close()
-        remove_outbox(self.store)
         report.elapsed_s = time.perf_counter() - start
-        utilization = (
-            busy["s"] / (slots * report.elapsed_s) if report.elapsed_s > 0 else 0.0
-        )
+        busy_s = sum(worker.busy_s for worker in pool.workers.values())
+        capacity = pool.slots * report.elapsed_s
+        utilization = busy_s / capacity if capacity > 0 else 0.0
         obs_metrics.merge_snapshots(
             report.metrics,
             {
+                "counters": {"campaign.worker_respawns": pool.respawns},
                 "gauges": {
-                    "campaign.queue_depth_peak": peak["queue"],
-                    "campaign.workers_active_peak": peak["workers"],
+                    "campaign.queue_depth_peak": pool.queue_peak,
+                    "campaign.workers_active_peak": pool.busy_peak,
                     "campaign.worker_utilization": round(min(utilization, 1.0), 4),
-                }
+                },
             },
         )
         return report

@@ -1,18 +1,21 @@
 """The campaign coordinator: places jobs on a node ring, settles results.
 
 The coordinator is the distributed counterpart of
-:class:`~repro.campaign.scheduler.CampaignScheduler` and shares its
-ground rules through :mod:`repro.campaign.execution`: attempt budgets
-(``1 + retries`` per run), outbox payload transport with doorbell
-queues, resume as skip-by-completed-id, and the invariant that exactly
-one process — the coordinator — ever writes ``records.jsonl``.
+:class:`~repro.campaign.scheduler.CampaignScheduler` and runs on the
+same execution core, :class:`repro.campaign.execution.WorkerPool`: the
+same worker loop in every node process, attempt budgets (``1 + retries``
+per run), outbox payload transport with doorbell queues, resume as
+skip-by-completed-id, and the invariant that exactly one process — the
+coordinator — ever writes ``records.jsonl``.  Only placement differs.
 
 Placement and stealing live in :class:`JobBoard`, a pure in-memory
 structure (unit-testable without processes): every pending job is
 queued under the ring owner of its content-addressed id, an idle node
 claims from its own partition first and otherwise *steals* from the
 most-loaded peer, and when a node dies its unclaimed jobs are re-rung
-onto the surviving members.
+onto the surviving members.  A node with nothing to claim is parked; a
+retry, a re-ring or a respawn offers work to parked nodes first, and
+shutdown releases them.
 
 Failure model
 -------------
@@ -35,41 +38,19 @@ Failure model
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import queue as queue_module
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..campaign.cache import sharded_cache_spec
-from ..campaign.execution import (
-    AttemptLedger,
-    ClassAccountant,
-    account_completed,
-    account_skipped,
-    discard_payload,
-    payload_exists,
-    read_payload,
-    remove_outbox,
-    reset_outbox,
-)
+from ..campaign.execution import ClassAccountant, Worker, WorkerPool, pending_jobs
 from ..campaign.plan import CampaignPlan, JobSpec
 from ..campaign.scheduler import CampaignReport, Runner, default_job_runner
-from ..campaign.store import (
-    STATUS_CRASHED,
-    STATUS_DONE,
-    STATUS_ERROR,
-    STATUS_TIMEOUT,
-    JobResult,
-    RunStore,
-)
+from ..campaign.store import STATUS_TIMEOUT, JobResult, RunStore
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import Tracer
-from . import protocol
 from .ring import HashRing
-from .worker import node_main
 
 #: Spans recorded by the coordinator (one per settled attempt, in the
 #: category of the node that ran it) land here inside the store.
@@ -83,14 +64,13 @@ class DistOptions:
     nodes: int = 2
     retries: int = 1                    # extra attempts after crash/timeout/error
     timeout_s: Optional[float] = None   # per-attempt wall-clock limit
-    poll_interval_s: float = 0.01
+    poll_interval_s: float = 0.01       # longest wait before a liveness check
     start_method: Optional[str] = None  # default: fork when available
     use_persistent_cache: bool = True
     #: Cache shards; defaults to the node count so each node starts with
     #: exactly one local partition.  Fixed for the life of the store.
     cache_partitions: Optional[int] = None
     vnodes: int = 64
-    wait_delay_s: float = 0.02          # backoff sent to nodes with nothing to claim
 
 
 class JobBoard:
@@ -176,27 +156,92 @@ class JobBoard:
             self.push(job)
 
 
-@dataclass
-class _Node:
+@dataclass(eq=False)
+class _Node(Worker):
     """Coordinator-side view of one node process."""
 
-    node_id: str
-    process: multiprocessing.Process
-    inbox: object                       # per-node command queue
-    partition: int                      # home cache partition (stable on respawn)
-    job: Optional[JobSpec] = None       # current claimed job, if any
-    attempt: int = 0
-    started_at: float = 0.0
-    stolen: bool = False
+    partition: int = 0                  # home cache partition (stable on respawn)
+    stolen: bool = False                # the current job was stolen
     jobs_completed: int = 0
     steals_received: int = 0
-    busy_s: float = 0.0
     queue_depth_peak: int = 0
     cache_hops: int = 0
 
-    @property
-    def busy(self) -> bool:
-        return self.job is not None
+
+class _NodePool(WorkerPool):
+    """Coordinator placement: ring partitions, stealing, re-ringing."""
+
+    role = "node"
+
+    def __init__(self, coordinator, report, pending, on_result) -> None:
+        super().__init__(coordinator, report, pending, on_result)
+        options = self.options
+        self.partitions = options.cache_partitions or max(1, options.nodes)
+        node_ids = [f"node-{index}" for index in range(options.nodes)]
+        self.board = JobBoard(pending, node_ids, vnodes=options.vnodes)
+        self.tracer = Tracer()
+        self.failures = 0
+        self.timeout_kills = 0
+        for index, node_id in enumerate(node_ids):
+            self.spawn(node_id, index % self.partitions)
+
+    def spawn(self, node_id: str, partition: int) -> None:
+        # The node's home shard matches its ring partition.
+        cache_spec = None
+        if self.options.use_persistent_cache:
+            cache_spec = sharded_cache_spec(
+                self.store.directory / "cache_shards", self.partitions, partition
+            )
+        self.start(_Node(node_id, partition=partition), cache_spec)
+
+    def claim(self, node: _Node) -> Optional[JobSpec]:
+        node.queue_depth_peak = max(
+            node.queue_depth_peak, self.board.depth(node.worker_id)
+        )
+        job, stolen = self.board.claim(node.worker_id)
+        if job is not None:
+            node.stolen = stolen
+            node.steals_received += stolen
+        return job
+
+    def requeue(self, job: JobSpec) -> None:
+        self.board.requeue(job)
+
+    def retired(self, node: _Node, status: str) -> None:
+        # Off the ring before its attempt settles, so a retry lands on a
+        # surviving owner.
+        moved = self.board.fail_node(node.worker_id)
+        if status == STATUS_TIMEOUT:
+            self.timeout_kills += 1
+            return
+        self.failures += 1
+        if moved:
+            obs_metrics.inc("dist.jobs_reassigned", moved)
+
+    def replace(self, node: _Node, status: str) -> None:
+        # A node killed for a timeout is replaced on the same cache
+        # partition.  After a crash the campaign finishes on the survivors;
+        # only a fully-dead fleet forces a replacement (bounded: every death
+        # consumes at most one attempt).
+        if status == STATUS_TIMEOUT or not self.live:
+            node_id = f"node-r{len(self.workers) - self.options.nodes + 1}"
+            self.spawn(node_id, node.partition)
+            self.board.add_node(node_id)
+
+    def settled(self, node: _Node, result: JobResult, payload: Optional[dict]) -> None:
+        self.tracer.record(
+            f"job:{node.job.job_id}",
+            category=f"node:{node.worker_id}",
+            duration_s=time.perf_counter() - node.started_at,
+            attempt=result.attempt,
+            stolen=node.stolen,
+            status=result.status,
+        )
+        node.stolen = False
+        if result.completed:
+            node.jobs_completed += 1
+            counters = ((payload or {}).get("metrics") or {}).get("counters") or {}
+            node.cache_hops += int(counters.get("dist.cache_hops", 0))
 
 
 class DistributedCoordinator:
@@ -216,19 +261,7 @@ class DistributedCoordinator:
         if self.options.nodes < 1:
             raise ValueError("a distributed campaign needs at least one node")
         self.runner = runner
-        self._accountant = ClassAccountant(job_class)
-
-    # -- cache placement -------------------------------------------------------------
-
-    def _cache_spec(self, partition: int) -> Optional[str]:
-        if not self.options.use_persistent_cache:
-            return None
-        partitions = self.options.cache_partitions or max(1, self.options.nodes)
-        return sharded_cache_spec(
-            self.store.directory / "cache_shards", partitions, partition
-        )
-
-    # -- main loop -------------------------------------------------------------------
+        self.accountant = ClassAccountant(job_class)
 
     def run(
         self, on_result: Optional[Callable[[JobSpec, JobResult], None]] = None
@@ -236,346 +269,31 @@ class DistributedCoordinator:
         """Run every pending job across the node fleet; returns this run's report."""
         start = time.perf_counter()
         options = self.options
-        stored = self.store.results()
-        completed_before = {
-            job_id for job_id, result in stored.items() if result.completed
-        }
-        pending = [
-            job for job in self.plan.jobs if job.job_id not in completed_before
-        ]
         report = CampaignReport(
             plan_name=self.plan.name,
             total_jobs=len(self.plan.jobs),
-            skipped=len(self.plan.jobs) - len(pending),
             cache_enabled=options.use_persistent_cache,
         )
-        if report.skipped:
-            account_skipped(report, self.plan, stored, self._accountant)
-
-        outbox = reset_outbox(self.store)
-        ledger = AttemptLedger(options.retries)
-        tracer = Tracer()
-        jobs_by_id = {job.job_id: job for job in pending}
-        unsettled = set(jobs_by_id)
-
-        method = options.start_method
-        if method is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        ctx = multiprocessing.get_context(method)
-        control: multiprocessing.Queue = ctx.Queue()
-
-        node_ids = [f"node-{index}" for index in range(options.nodes)]
-        board = JobBoard(pending, node_ids, vnodes=options.vnodes)
-        nodes: dict[str, _Node] = {}
-        dead: set[str] = set()
-        counters = {"failures": 0, "timeout_kills": 0, "respawns": 0}
-        generation = [0]
-
-        def spawn(node_id: str, partition: int) -> _Node:
-            inbox = ctx.Queue()
-            process = ctx.Process(
-                target=node_main,
-                args=(
-                    node_id,
-                    self.runner,
-                    self._cache_spec(partition),
-                    inbox,
-                    control,
-                    str(outbox),
-                ),
-                daemon=True,
-            )
-            process.start()
-            node = _Node(node_id, process, inbox, partition)
-            nodes[node_id] = node
-            return node
-
-        for index, node_id in enumerate(node_ids):
-            partitions = options.cache_partitions or max(1, options.nodes)
-            spawn(node_id, index % partitions)
-
-        def respawn(partition: int) -> None:
-            """Admit a fresh replacement node on the given cache partition."""
-            generation[0] += 1
-            node_id = f"node-r{generation[0]}"
-            spawn(node_id, partition)
-            board.add_node(node_id)
-            counters["respawns"] += 1
-
-        def settle(node: _Node, result: JobResult, payload: Optional[dict]) -> None:
-            """Record one attempt; retry, fail, or complete its job."""
-            job = node.job
-            assert job is not None
-            elapsed = time.perf_counter() - node.started_at
-            node.busy_s += elapsed
-            tracer.record(
-                f"job:{job.job_id}",
-                category=f"node:{node.node_id}",
-                duration_s=elapsed,
-                attempt=result.attempt,
-                stolen=node.stolen,
-                status=result.status,
-            )
-            node.job = None
-            node.stolen = False
-            self.store.append(result)
-            if result.completed:
-                unsettled.discard(job.job_id)
-                node.jobs_completed += 1
-                account_completed(report, result)
-                report.completed += 1
-                self._accountant.account(
-                    report, job, completed=True,
-                    success=bool((result.record or {}).get("success")),
-                )
-                if payload:
-                    events = payload.get("events") or []
-                    if events:
-                        self.store.write_events(job.job_id, events)
-                    snapshot = payload.get("metrics")
-                    if snapshot:
-                        node.cache_hops += int(
-                            (snapshot.get("counters") or {}).get("dist.cache_hops", 0)
-                        )
-                        obs_metrics.merge_snapshots(report.metrics, snapshot)
-            elif not ledger.exhausted(job.job_id):
-                board.requeue(job)
-            else:
-                unsettled.discard(job.job_id)
-                report.failed.append(job.job_id)
-                self._accountant.account(report, job, completed=False)
-            if on_result is not None:
-                on_result(job, result)
-
-        def handle(message: dict) -> None:
-            kind = message.get("kind")
-            node_id = message.get("node_id", "")
-            node = nodes.get(node_id)
-            if node is None or node_id in dead:
-                # A doorbell from a node already written off: drop it (and
-                # any payload) rather than double-settling its job.
-                if kind == protocol.KIND_RESULT:
-                    job_id = message.get("job_id", "")
-                    attempt = message.get("attempt")
-                    if job_id and isinstance(attempt, int):
-                        discard_payload(outbox, job_id, attempt)
-                return
-            if kind == protocol.KIND_WORK_REQUEST:
-                if node.busy:
-                    # The node re-asked, so it never received (or lost) our
-                    # reply: re-send its current assignment.
-                    node.inbox.put(
-                        protocol.job_message(node.job.to_dict(), node.attempt)
-                    )
-                    return
-                job, stolen = board.claim(node_id)
-                if job is None:
-                    node.inbox.put(protocol.wait_message(options.wait_delay_s))
-                    return
-                node.job = job
-                node.attempt = ledger.begin(job.job_id)
-                node.started_at = time.perf_counter()
-                node.stolen = stolen
-                if stolen:
-                    node.steals_received += 1
-                node.inbox.put(protocol.job_message(job.to_dict(), node.attempt))
-                return
-            if kind != protocol.KIND_RESULT:
-                return
-            job_id = message.get("job_id", "")
-            attempt = message.get("attempt")
-            if (
-                node.job is None
-                or node.job.job_id != job_id
-                or attempt != node.attempt
-            ):
-                # Stale doorbell (e.g. from before a timeout write-off).
-                if job_id and isinstance(attempt, int):
-                    discard_payload(outbox, job_id, attempt)
-                return
-            if message.get("ok"):
-                try:
-                    payload = read_payload(outbox, job_id, attempt)
-                except (OSError, json.JSONDecodeError) as exc:
-                    settle(
-                        node,
-                        JobResult(
-                            job_id=job_id,
-                            status=STATUS_ERROR,
-                            attempt=attempt,
-                            error=f"result payload unreadable: {exc}",
-                        ),
-                        None,
-                    )
-                    return
-                finally:
-                    discard_payload(outbox, job_id, attempt)
-                settle(
-                    node,
-                    JobResult(
-                        job_id=job_id,
-                        status=STATUS_DONE,
-                        attempt=attempt,
-                        elapsed_s=message.get("elapsed_s", 0.0)
-                        or payload.get("elapsed_s", 0.0),
-                        record=payload.get("record"),
-                    ),
-                    payload,
-                )
-            else:
-                discard_payload(outbox, job_id, attempt)
-                settle(
-                    node,
-                    JobResult(
-                        job_id=job_id,
-                        status=STATUS_ERROR,
-                        attempt=attempt,
-                        error=message.get("error", ""),
-                    ),
-                    None,
-                )
-
-        def drain() -> None:
-            while True:
-                try:
-                    handle(control.get_nowait())
-                except queue_module.Empty:
-                    return
-
-        def write_off(node: _Node, status: str, error: str) -> None:
-            """A dead/killed node forfeits its current attempt (if any)."""
-            if node.job is None:
-                return
-            # The outbox payload, not the doorbell, is the ground truth: a
-            # node killed after publishing still completed its job.
-            if payload_exists(outbox, node.job.job_id, node.attempt):
-                try:
-                    payload = read_payload(outbox, node.job.job_id, node.attempt)
-                except (OSError, json.JSONDecodeError):
-                    payload = None
-                finally:
-                    discard_payload(outbox, node.job.job_id, node.attempt)
-                if payload is not None:
-                    settle(
-                        node,
-                        JobResult(
-                            job_id=node.job.job_id,
-                            status=STATUS_DONE,
-                            attempt=node.attempt,
-                            elapsed_s=payload.get("elapsed_s", 0.0),
-                            record=payload.get("record"),
-                        ),
-                        payload,
-                    )
-                    return
-            settle(
-                node,
-                JobResult(
-                    job_id=node.job.job_id,
-                    status=status,
-                    attempt=node.attempt,
-                    error=error,
-                ),
-                None,
-            )
-
-        try:
-            while unsettled:
-                try:
-                    handle(control.get(timeout=options.poll_interval_s))
-                except queue_module.Empty:
-                    pass
-                drain()
-
-                now = time.perf_counter()
-                for node_id, node in list(nodes.items()):
-                    if node_id in dead:
-                        continue
-                    node.queue_depth_peak = max(
-                        node.queue_depth_peak, board.depth(node_id)
-                    )
-                    timed_out = (
-                        options.timeout_s is not None
-                        and node.busy
-                        and now - node.started_at > options.timeout_s
-                    )
-                    if timed_out and node.process.is_alive():
-                        # A doorbell may have arrived at the deadline.
-                        drain()
-                        if not node.busy:
-                            continue
-                        # Nodes are long-lived: killing the attempt kills the
-                        # node, so replace it on the same cache partition.
-                        node.process.terminate()
-                        node.process.join(timeout=1)
-                        dead.add(node_id)
-                        board.fail_node(node_id)
-                        counters["timeout_kills"] += 1
-                        write_off(
-                            node,
-                            STATUS_TIMEOUT,
-                            f"timed out after {options.timeout_s}s",
-                        )
-                        if unsettled:
-                            respawn(node.partition)
-                    elif not node.process.is_alive():
-                        # Doorbells may still be queued from before the death.
-                        drain()
-                        if node_id in dead:
-                            continue
-                        dead.add(node_id)
-                        moved = board.fail_node(node_id)
-                        counters["failures"] += 1
-                        write_off(
-                            node,
-                            STATUS_CRASHED,
-                            f"node exited with code {node.process.exitcode}",
-                        )
-                        if moved:
-                            obs_metrics.inc("dist.jobs_reassigned", moved)
-                        # The campaign finishes on the survivors; only a
-                        # fully-dead fleet forces a replacement (bounded:
-                        # every death consumes at most one attempt).
-                        if unsettled and all(
-                            peer in dead for peer in nodes
-                        ):
-                            respawn(node.partition)
-        finally:
-            for node_id, node in nodes.items():
-                if node_id in dead:
-                    continue
-                try:
-                    node.inbox.put(protocol.shutdown_message())
-                except (OSError, ValueError):
-                    pass
-            for node_id, node in nodes.items():
-                node.process.join(timeout=2)
-                if node.process.is_alive():
-                    node.process.terminate()
-                    node.process.join(timeout=1)
-            control.close()
-            remove_outbox(self.store)
-
-        tracer.finish()
-        tracer.write(self.store.directory / SPANS_FILE)
+        pending = pending_jobs(self.plan, self.store, report, self.accountant)
+        pool = _NodePool(self, report, pending, on_result)
+        pool.serve()
+        pool.tracer.finish()
+        pool.tracer.write(self.store.directory / SPANS_FILE)
 
         report.elapsed_s = time.perf_counter() - start
-        busy_total = sum(node.busy_s for node in nodes.values())
+        nodes = pool.workers.values()
+        busy_total = sum(node.busy_s for node in nodes)
         capacity = options.nodes * report.elapsed_s
         utilization = busy_total / capacity if capacity > 0 else 0.0
         gauges = {
             "dist.nodes": options.nodes,
             "campaign.queue_depth_peak": max(
-                (node.queue_depth_peak for node in nodes.values()), default=0
+                (node.queue_depth_peak for node in nodes), default=0
             ),
             "campaign.worker_utilization": round(min(utilization, 1.0), 4),
         }
-        for node in nodes.values():
-            prefix = f"dist.node.{node.node_id}"
+        for node in nodes:
+            prefix = f"dist.node.{node.worker_id}"
             node_capacity = report.elapsed_s or 1.0
             gauges[f"{prefix}.queue_depth_peak"] = node.queue_depth_peak
             gauges[f"{prefix}.jobs_completed"] = node.jobs_completed
@@ -588,10 +306,10 @@ class DistributedCoordinator:
             report.metrics,
             {
                 "counters": {
-                    "dist.steals": board.steals,
-                    "dist.jobs_reassigned": board.reassigned,
-                    "dist.node_failures": counters["failures"],
-                    "dist.timeout_kills": counters["timeout_kills"],
+                    "dist.steals": pool.board.steals,
+                    "dist.jobs_reassigned": pool.board.reassigned,
+                    "dist.node_failures": pool.failures,
+                    "dist.timeout_kills": pool.timeout_kills,
                 },
                 "gauges": gauges,
             },

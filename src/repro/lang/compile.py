@@ -39,6 +39,7 @@ import operator
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 
 from ..formats.raw import RawFormat
 from ..obs import metrics as obs_metrics
@@ -65,7 +66,7 @@ from .bytecode import (
     deref_cell,
     invoke,
 )
-from .checker import BUILTIN_SIGNATURES, Checker, Program
+from .checker import _PROGRAM_CACHE, BUILTIN_SIGNATURES, Checker, Program
 from .memory import (
     ArenaBuffer,
     Cell,
@@ -79,6 +80,7 @@ from .memory import (
     new_cell,
     null_pointer,
 )
+from .patcher import _UNIT_CACHE
 from .trace import NULL_HOOKS, ErrorKind, RunResult, RunStatus
 from .types import I32, IntType, PointerType, StructType, U8, U32, integer_type, promote
 from .vm import VM, VMError, _ErrorSignal, _ExitSignal
@@ -1536,6 +1538,30 @@ def clear_compile_cache() -> None:
     """Drop all compiled programs (tests and memory-pressure escape hatch)."""
     with _COMPILE_CACHE_LOCK:
         _COMPILE_CACHE.clear()
+
+
+@contextmanager
+def evicting_new_artifacts():
+    """Evict, on exit, the artifacts first cached inside the ``with`` block.
+
+    Covers the content-addressed caches a transfer fills: compiled
+    artifacts (this module's LRU), checked programs
+    (:func:`repro.lang.checker.compile_program`) and parsed patch units
+    (:mod:`repro.lang.patcher`).  Entries cached before the block stay, in
+    their LRU order.  A scenario job's generated programs are one-shot (no
+    later job shares their sources), so a long-lived worker drops them when
+    the job ends instead of filling the caches with them.
+    """
+    caches = (_COMPILE_CACHE, _PROGRAM_CACHE, _UNIT_CACHE)
+    with _COMPILE_CACHE_LOCK:
+        before = [set(cache) for cache in caches]
+    try:
+        yield
+    finally:
+        with _COMPILE_CACHE_LOCK:
+            for cache, kept in zip(caches, before):
+                for key in [key for key in cache if key not in kept]:
+                    del cache[key]
 
 
 def compile_cache_info() -> dict:

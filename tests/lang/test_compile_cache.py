@@ -97,7 +97,8 @@ class TestPatcherInvalidation:
 
 class TestScopedRegistrationBoundaries:
     """Campaign workers re-register generated apps; content addressing makes
-    the compile cache immune to name reuse across those boundaries."""
+    the compile cache immune to name reuse across those boundaries, and each
+    scope takes the artifacts it first compiled with it."""
 
     def _app(self, source: str) -> Application:
         return Application(
@@ -119,18 +120,60 @@ class TestScopedRegistrationBoundaries:
             # Same registry name, different source: must not replay 1.
             assert run_program(app.program(), b"").output == [2]
 
-        digests = compile_cache_info()["digests"]
-        assert program_digest(compile_program(emit_one)) in digests
-        assert program_digest(compile_program(emit_two)) in digests
+        # Each scope evicted the artifacts it compiled.
+        digests = {
+            key if isinstance(key, str) else key[0]
+            for key in compile_cache_info()["digests"]
+        }
+        assert program_digest(compile_program(emit_one)) not in digests
+        assert program_digest(compile_program(emit_two)) not in digests
 
     def test_artifact_survives_scope_exit_for_same_content(self):
         source = "int main() { emit(7); return 0; }"
-        with scoped_registration(self._app(source)) as (app,):
-            artifact = compile_bytecode(app.program())
-        # The registry scope is gone, but the same content re-registered
-        # under any name still hits the same compiled artifact.
+        artifact = compile_bytecode(compile_program(source))
+        # Compiled before the scope: the same content registered inside it
+        # hits the same artifact, and the scope's exit leaves it cached.
         with scoped_registration(self._app(source)) as (app,):
             assert compile_bytecode(app.program()) is artifact
+        assert compile_bytecode(compile_program(source)) is artifact
+
+    def test_scope_leaves_the_entry_count_unchanged(self):
+        compile_bytecode(compile_program("int main() { emit(1); return 0; }"))
+        before = compile_cache_info()["entries"]
+        with scoped_registration(self._app(SOURCE)) as (app,):
+            compile_bytecode(app.program())
+            compile_bytecode(app.program(), observed=True)
+            run_program(app.program(), bytes([0, 2, 0, 3]))
+            assert compile_cache_info()["entries"] > before
+        assert compile_cache_info()["entries"] == before
+
+    def test_preexisting_entries_keep_their_lru_position(self):
+        first = compile_program("int main() { emit(1); return 0; }")
+        second = compile_program("int main() { emit(2); return 0; }")
+        first_artifact = compile_bytecode(first)
+        compile_bytecode(second)
+        order = compile_cache_info()["digests"]
+        with scoped_registration(self._app(SOURCE)) as (app,):
+            compile_bytecode(app.program())
+        assert compile_cache_info()["digests"] == order
+        assert compile_bytecode(first) is first_artifact  # still a hit
+
+    def test_scope_evicts_the_programs_it_checked(self):
+        kept_source = "int main() { emit(1); return 0; }"
+        kept = compile_program(kept_source)
+        with scoped_registration(self._app(SOURCE)) as (app,):
+            checked = app.program()
+            assert compile_program(kept_source) is kept
+        assert compile_program(kept_source) is kept
+        assert compile_program(SOURCE, name=app.full_name) is not checked
+
+    def test_scope_that_raises_also_evicts(self):
+        before = compile_cache_info()["entries"]
+        with pytest.raises(RuntimeError):
+            with scoped_registration(self._app(SOURCE)) as (app,):
+                compile_bytecode(app.program())
+                raise RuntimeError("boom")
+        assert compile_cache_info()["entries"] == before
 
 
 class TestCacheBounds:
