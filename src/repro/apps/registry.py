@@ -115,8 +115,8 @@ def scoped_registration(*applications: Application) -> Iterator[tuple[Applicatio
     are removed before the error propagates.
 
     The scope also takes its compiled artifacts with it: compiled VM
-    artifacts, checked programs and parsed patch units first cached inside
-    the block are evicted on exit
+    artifacts and checked programs first cached inside the block are
+    evicted on exit
     (:func:`repro.lang.compile.evicting_new_artifacts`), so a long-lived
     campaign worker holds no more of them after a generated transfer than
     before it.  Entries that existed before the block stay.

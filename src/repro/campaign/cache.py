@@ -16,6 +16,9 @@ mapping a canonical query key to the serialised verdict payload.  Properties:
 * **incrementally shared** — a reader that misses re-checks the file for
   lines appended by sibling processes since its last load before declaring
   the miss, so workers running in parallel benefit from each other;
+* **memoized per process** — :func:`open_solver_cache` hands every opener of
+  one path the same instance while it still describes the file, so a
+  long-lived worker parses each line once, not once per job;
 * **crash-safe** — a torn trailing line (a writer killed mid-append) is left
   unread by readers and sealed off with a newline by the next writer, so it
   can never merge with a later entry; duplicate keys are idempotent (last
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -70,12 +74,22 @@ def query_key(left: Expr, right: Expr) -> str:
 
 
 class PersistentSolverCache:
-    """Append-only JSONL store of solver verdicts shared across processes."""
+    """Append-only JSONL store of solver verdicts shared across processes.
+
+    Safe to share between threads: :meth:`refresh` and :meth:`put` hold
+    the instance's lock while they read or write the file.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._entries: dict[str, dict] = {}
+        #: Bytes of the file loaded so far (always just past a newline), the
+        #: last complete line below that offset, and the file's
+        #: ``(st_dev, st_ino)`` — what :meth:`describes_file` checks.
         self._offset = 0
+        self._tail = b""
+        self._identity: Optional[tuple[int, int]] = None
+        self._lock = threading.Lock()
         self.refresh()
 
     # -- reading ---------------------------------------------------------------------
@@ -92,27 +106,59 @@ class PersistentSolverCache:
 
     def refresh(self) -> None:
         """Load any complete lines appended since the last load."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(self._offset)
-                data = handle.read()
-        except FileNotFoundError:
-            return
-        end = data.rfind(b"\n")
-        if end < 0:
-            return  # nothing new, or a torn line still being written
-        for line in data[: end + 1].splitlines():
-            if not line.strip():
-                continue
+        with self._lock:
             try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write from a crashed process; skip the line
-            key = entry.get("k")
-            payload = entry.get("v")
-            if isinstance(key, str) and isinstance(payload, dict):
-                self._entries[key] = payload
-        self._offset += end + 1
+                with open(self.path, "rb") as handle:
+                    handle.seek(self._offset)
+                    data = handle.read()
+                    identity = _file_identity(handle)
+            except FileNotFoundError:
+                return
+            end = data.rfind(b"\n")
+            if end < 0:
+                return  # nothing new, or a torn line still being written
+            parsed = 0
+            for line in data[: end + 1].splitlines():
+                if not line.strip():
+                    continue
+                parsed += 1
+                try:
+                    entry = json.loads(line)
+                except json.JSONDecodeError:
+                    continue  # torn write from a crashed process; skip the line
+                key = entry.get("k")
+                payload = entry.get("v")
+                if isinstance(key, str) and isinstance(payload, dict):
+                    self._entries[key] = payload
+            self._offset += end + 1
+            self._tail = data[data.rfind(b"\n", 0, end) + 1 : end + 1]
+            self._identity = identity
+        obs_metrics.inc("solver.persistent_lines_loaded", parsed)
+
+    def describes_file(self) -> bool:
+        """Whether what this instance loaded still matches the file on disk.
+
+        The file must be the same inode, no shorter than the loaded offset,
+        and still hold the last line loaded just below that offset: a file
+        deleted and recreated at the same path can reuse the inode, so
+        identity alone is not enough.
+        """
+        with self._lock:
+            if self._identity is None:
+                # Nothing loaded yet: only verdicts this instance wrote
+                # itself could be missing from the file.
+                return not self._entries
+            try:
+                with open(self.path, "rb") as handle:
+                    stat = os.fstat(handle.fileno())
+                    if (stat.st_dev, stat.st_ino) != self._identity:
+                        return False
+                    if stat.st_size < self._offset:
+                        return False
+                    handle.seek(self._offset - len(self._tail))
+                    return handle.read(len(self._tail)) == self._tail
+            except FileNotFoundError:
+                return False
 
     def _file_grew(self) -> bool:
         try:
@@ -124,28 +170,37 @@ class PersistentSolverCache:
 
     def put(self, key: str, payload: dict) -> None:
         """Record a verdict; no-op if this process already holds the key."""
-        if key in self._entries:
-            return
-        self._entries[key] = payload
-        line = json.dumps({"k": key, "v": payload}, separators=(",", ":"))
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a+b") as handle:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                # Heal a torn trailing line left by a crashed writer: close it
-                # with a newline so this entry starts a fresh line instead of
-                # merging with (and corrupting) the partial one.
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() > 0:
-                    handle.seek(-1, os.SEEK_END)
-                    if handle.read(1) != b"\n":
-                        handle.write(b"\n")
-                handle.write((line + "\n").encode("utf-8"))
-                handle.flush()
-            finally:
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = payload
+            line = json.dumps({"k": key, "v": payload}, separators=(",", ":"))
+            record = (line + "\n").encode("utf-8")
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a+b") as handle:
                 if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+                    fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+                try:
+                    # Heal a torn trailing line left by a crashed writer: close
+                    # it with a newline so this entry starts a fresh line
+                    # instead of merging with (and corrupting) the partial one.
+                    size = handle.seek(0, os.SEEK_END)
+                    if size > 0:
+                        handle.seek(-1, os.SEEK_END)
+                        if handle.read(1) != b"\n":
+                            handle.write(b"\n")
+                    handle.write(record)
+                    handle.flush()
+                    if size == self._offset and handle.tell() == size + len(record):
+                        # Nothing unread lies before this line (no sibling
+                        # append slipped in, even without ``flock``): count it
+                        # as loaded rather than parse it back on a refresh.
+                        self._offset = handle.tell()
+                        self._tail = record
+                        self._identity = _file_identity(handle)
+                finally:
+                    if fcntl is not None:
+                        fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
     # -- introspection ---------------------------------------------------------------
 
@@ -154,6 +209,11 @@ class PersistentSolverCache:
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries
+
+
+def _file_identity(handle) -> tuple[int, int]:
+    stat = os.fstat(handle.fileno())
+    return stat.st_dev, stat.st_ino
 
 
 # -- partitioned key-space ---------------------------------------------------------------
@@ -262,10 +322,13 @@ class ShardedSolverCache:
 #: Spec separator for sharded cache paths: ``<dir>::shards=<P>::local=<k>``.
 _SPEC_SEP = "::"
 
-#: Sharded spaces memoized per spec so a long-lived node keeps one warm
-#: overlay across every job it executes (plain paths are not memoized —
-#: the flat cache is cheap to reopen and tests rely on fresh instances).
+#: Opened caches memoized per process, so a long-lived worker keeps one warm
+#: instance across every job it executes: flat files by absolute path (and
+#: only while :meth:`PersistentSolverCache.describes_file` holds), sharded
+#: spaces by spec, so a node keeps one overlay.
+_OPEN_FLAT: dict[str, PersistentSolverCache] = {}
 _OPEN_SHARDED: dict[str, ShardedSolverCache] = {}
+_OPEN_LOCK = threading.Lock()
 
 
 def sharded_cache_spec(
@@ -283,17 +346,27 @@ def open_solver_cache(spec: str | Path):
 
     A plain path opens the classic single-file
     :class:`PersistentSolverCache`.  A ``::shards=``-tagged spec (built
-    by :func:`sharded_cache_spec`) opens a :class:`ShardedSolverCache`,
-    memoized per spec so every checker in one node process shares one
-    overlay.  Keeping the spec a string keeps it trivially picklable
-    through worker process boundaries.
+    by :func:`sharded_cache_spec`) opens a :class:`ShardedSolverCache`.
+    Both are memoized per process (see :data:`_OPEN_FLAT`), so every
+    checker in one worker shares one instance and later opens read only
+    the lines appended since.  Keeping the spec a string keeps it
+    trivially picklable through worker process boundaries.
     """
     text = str(spec)
-    if _SPEC_SEP not in text:
-        return PersistentSolverCache(text)
-    cached = _OPEN_SHARDED.get(text)
-    if cached is not None:
-        return cached
+    with _OPEN_LOCK:
+        if _SPEC_SEP not in text:
+            path = os.path.abspath(text)
+            flat = _OPEN_FLAT.get(path)
+            if flat is None or not flat.describes_file():
+                flat = _OPEN_FLAT[path] = PersistentSolverCache(path)
+            return flat
+        sharded = _OPEN_SHARDED.get(text)
+        if sharded is None:
+            sharded = _OPEN_SHARDED[text] = _open_sharded(text)
+        return sharded
+
+
+def _open_sharded(text: str) -> ShardedSolverCache:
     parts = text.split(_SPEC_SEP)
     directory = parts[0]
     partitions = 1
@@ -306,6 +379,4 @@ def open_solver_cache(spec: str | Path):
             local = int(value)
         else:
             raise ValueError(f"unknown cache spec field {part!r} in {text!r}")
-    opened = ShardedSolverCache(directory, partitions, local_partition=local)
-    _OPEN_SHARDED[text] = opened
-    return opened
+    return ShardedSolverCache(directory, partitions, local_partition=local)

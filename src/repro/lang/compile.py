@@ -80,7 +80,6 @@ from .memory import (
     new_cell,
     null_pointer,
 )
-from .patcher import _UNIT_CACHE
 from .trace import NULL_HOOKS, ErrorKind, RunResult, RunStatus
 from .types import I32, IntType, PointerType, StructType, U8, U32, integer_type, promote
 from .vm import VM, VMError, _ErrorSignal, _ExitSignal
@@ -1544,15 +1543,15 @@ def clear_compile_cache() -> None:
 def evicting_new_artifacts():
     """Evict, on exit, the artifacts first cached inside the ``with`` block.
 
-    Covers the content-addressed caches a transfer fills: compiled
-    artifacts (this module's LRU), checked programs
-    (:func:`repro.lang.checker.compile_program`) and parsed patch units
-    (:mod:`repro.lang.patcher`).  Entries cached before the block stay, in
+    Covers the two content-addressed caches a transfer fills: compiled
+    artifacts (this module's LRU) and checked programs
+    (:func:`repro.lang.checker.compile_program`, whose ASTs the patcher
+    also renders patches from).  Entries cached before the block stay, in
     their LRU order.  A scenario job's generated programs are one-shot (no
     later job shares their sources), so a long-lived worker drops them when
     the job ends instead of filling the caches with them.
     """
-    caches = (_COMPILE_CACHE, _PROGRAM_CACHE, _UNIT_CACHE)
+    caches = (_COMPILE_CACHE, _PROGRAM_CACHE)
     with _COMPILE_CACHE_LOCK:
         before = [set(cache) for cache in caches]
     try:

@@ -5,52 +5,28 @@ point": the translated check becomes the condition and the body either exits
 the application (``exit(-1)``), or — for the divide-by-zero alternate strategy
 of §4.5 — returns zero from the enclosing function.
 
-The patcher works the way CP does with source-level patches: it re-parses the
-recipient's source (so statement node ids are reproducible), splices the patch
-statement immediately after the insertion-point statement, and renders the
-patched program back to source.  Recompiling the result is then just running
-the MicroC checker again.
+The patcher works the way CP does with source-level patches: it finds the
+insertion-point statement in the recipient's checked program (the one
+:func:`~repro.lang.checker.compile_program` already holds for that source,
+so statement node ids are the parser's), renders the program back to source
+with the patch statement right after that statement, and recompiles the
+result.  Rendering never mutates the checked program's AST, which is shared
+by every caller that compiled the same source — threads included.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
 
 from . import ast
 from .checker import Program, compile_program
-from .parser import parse_expression, parse_program
-from .printer import render_statement
+from .parser import parse_expression
+from .printer import render_program, render_statement
 
 
 class PatchError(Exception):
     """Raised when a patch cannot be constructed or applied."""
-
-
-#: Parsed-unit cache for :func:`apply_patch`, keyed by (name, source).  A
-#: campaign attempts many candidate patches against the same recipient;
-#: re-parsing the unpatched source per attempt dominated the patcher's cost.
-#: ``apply_patch`` mutates the cached unit only by inserting one statement,
-#: which it removes again after rendering, so cached units stay pristine.
-#: Content-addressed by the full source string: a rewritten recipient is a
-#: different key, so no invalidation hook is needed.
-_UNIT_CACHE: "OrderedDict[tuple[str, str], ast.TranslationUnit]" = OrderedDict()
-_UNIT_CACHE_CAPACITY = 32
-
-
-def _parsed_unit(source: str, name: str) -> ast.TranslationUnit:
-    key = (name, source)
-    unit = _UNIT_CACHE.get(key)
-    if unit is None:
-        unit = parse_program(source, name=name)
-        _UNIT_CACHE[key] = unit
-        if len(_UNIT_CACHE) > _UNIT_CACHE_CAPACITY:
-            _UNIT_CACHE.popitem(last=False)
-    else:
-        _UNIT_CACHE.move_to_end(key)
-    return unit
 
 
 class PatchAction(enum.Enum):
@@ -89,113 +65,54 @@ class PatchedProgram:
     insertion_line: int
 
 
-def _find_parent_block(unit: ast.TranslationUnit, statement_id: int) -> tuple[ast.Block, int, str]:
-    """Locate the block containing ``statement_id`` and its index within it."""
+def _checked_unit(source: str, program_name: str) -> ast.TranslationUnit:
+    """The AST of ``source``'s checked program (shared: read it, never mutate it)."""
+    try:
+        return compile_program(source, name=program_name or "<program>").unit
+    except Exception as error:
+        raise PatchError(f"recipient program does not compile: {error}") from error
+
+
+def _locate(unit: ast.TranslationUnit, statement_id: int) -> tuple[ast.Statement, str]:
+    """The statement with ``statement_id`` and the name of its function."""
     for function in unit.functions:
-        blocks = [function.body]
-        while blocks:
-            block = blocks.pop()
-            for index, statement in enumerate(block.statements):
-                if statement.node_id == statement_id:
-                    return block, index, function.name
-                if isinstance(statement, ast.If):
-                    blocks.append(statement.then_block)
-                    if statement.else_block is not None:
-                        blocks.append(statement.else_block)
-                elif isinstance(statement, ast.While):
-                    blocks.append(statement.body)
+        for statement in function.body.walk_statements():
+            if statement.node_id == statement_id:
+                return statement, function.name
     raise PatchError(f"no statement with node id {statement_id} in program")
 
 
-def _max_node_id(unit: ast.TranslationUnit) -> int:
-    highest = unit.node_id
-    stack: list[ast.Node] = [unit]
-    for function in unit.functions:
-        stack.append(function)
-        stack.append(function.body)
-    for struct in unit.structs:
-        stack.append(struct)
-    for declaration in unit.globals:
-        stack.append(declaration)
-    # Walk statements/expressions for ids.
-    for statement in unit.all_statements():
-        highest = max(highest, statement.node_id)
-        for expression_field in ("condition", "value", "expression", "init", "target"):
-            expression = getattr(statement, expression_field, None)
-            if isinstance(expression, ast.Expression):
-                for node in expression.walk():
-                    highest = max(highest, node.node_id)
-    return highest
-
-
-def _build_patch_statement(
-    patch: SourcePatch, next_id: int, line: int
-) -> tuple[ast.Statement, int]:
-    """Construct the patch's if-statement AST with fresh node ids."""
-    condition = parse_expression(patch.condition_source)
-    # Re-number the freshly parsed expression so ids do not collide.
-    for node in condition.walk():
-        node.node_id = next_id
-        node.line = line
-        next_id += 1
-
+def _build_patch_statement(patch: SourcePatch) -> ast.If:
+    """The patch's if-statement AST (rendered only, so its node ids do not matter)."""
     if patch.action is PatchAction.EXIT:
-        exit_call = ast.Call(callee="exit", args=(ast.IntLiteral(value=-1 & 0xFFFFFFFF),))
-        # Render -1 literally: use a unary minus over 1 for readability.
-        exit_call = ast.Call(
-            callee="exit", args=(ast.Unary(op="-", operand=ast.IntLiteral(value=1)),)
+        body: ast.Statement = ast.ExprStmt(
+            expression=ast.Call(
+                callee="exit", args=(ast.Unary(op="-", operand=ast.IntLiteral(value=1)),)
+            )
         )
-        body_statement: ast.Statement = ast.ExprStmt(expression=exit_call)
     else:
-        body_statement = ast.Return(value=ast.IntLiteral(value=0))
-
-    for node in _all_patch_nodes(body_statement):
-        node.node_id = next_id
-        node.line = line
-        next_id += 1
-
-    then_block = ast.Block(statements=[body_statement])
-    then_block.node_id = next_id
-    then_block.line = line
-    next_id += 1
-
-    if_statement = ast.If(condition=condition, then_block=then_block, else_block=None)
-    if_statement.node_id = next_id
-    if_statement.line = line
-    next_id += 1
-    return if_statement, next_id
-
-
-def _all_patch_nodes(statement: ast.Statement) -> list[ast.Node]:
-    nodes: list[ast.Node] = [statement]
-    if isinstance(statement, ast.ExprStmt):
-        nodes.extend(statement.expression.walk())
-    elif isinstance(statement, ast.Return) and statement.value is not None:
-        nodes.extend(statement.value.walk())
-    return nodes
+        body = ast.Return(value=ast.IntLiteral(value=0))
+    return ast.If(
+        condition=parse_expression(patch.condition_source),
+        then_block=ast.Block(statements=[body]),
+        else_block=None,
+    )
 
 
 def apply_patch(source: str, patch: SourcePatch, program_name: str = "") -> PatchedProgram:
     """Apply ``patch`` to MicroC ``source`` and recompile the result.
 
-    Raises :class:`PatchError` if the insertion point does not exist or the
-    patched program fails to recompile (CP's first validation step).
+    ``program_name`` names the checked program ``source`` was compiled as;
+    reusing that name lets the patcher read the cached program instead of
+    parsing ``source`` again.  Raises :class:`PatchError` if the insertion
+    point does not exist or the patched program fails to recompile (CP's
+    first validation step).
     """
-    unit = _parsed_unit(source, program_name or "<patched>")
-    block, index, function_name = _find_parent_block(unit, patch.insertion_statement_id)
-    insertion_line = block.statements[index].line
-
-    next_id = _max_node_id(unit) + 1000
-    patch_statement, _ = _build_patch_statement(patch, next_id, insertion_line)
-    block.statements.insert(index + 1, patch_statement)
-
-    from .printer import render_program
-
-    try:
-        new_source = render_program(unit)
-    finally:
-        # Restore the cached unit to its unpatched shape.
-        del block.statements[index + 1]
+    unit = _checked_unit(source, program_name)
+    anchor, function_name = _locate(unit, patch.insertion_statement_id)
+    new_source = render_program(
+        unit, after={anchor.node_id: _build_patch_statement(patch)}
+    )
     try:
         program = compile_program(new_source, name=(program_name or "patched"))
     except Exception as error:  # compilation failure -> validation failure
@@ -206,16 +123,16 @@ def apply_patch(source: str, patch: SourcePatch, program_name: str = "") -> Patc
         program=program,
         patch=patch,
         function=function_name,
-        insertion_line=insertion_line,
+        insertion_line=anchor.line,
     )
 
 
 def render_patch_preview(source: str, patch: SourcePatch) -> str:
     """A short human-readable preview of the patch in context (for reports)."""
-    unit = _parsed_unit(source, "<preview>")
-    block, index, function_name = _find_parent_block(unit, patch.insertion_statement_id)
-    anchor = render_statement(block.statements[index]).strip()
+    anchor, function_name = _locate(
+        _checked_unit(source, ""), patch.insertion_statement_id
+    )
     return (
-        f"in {function_name}, after `{anchor}`:\n"
+        f"in {function_name}, after `{render_statement(anchor).strip()}`:\n"
         f"    {patch.render()}"
     )

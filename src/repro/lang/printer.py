@@ -7,14 +7,24 @@ round trips.
 
 from __future__ import annotations
 
+from typing import Mapping, Optional
+
 from . import ast
 
 
 _INDENT = "    "
 
+#: Extra statements to render, each keyed by the node id of the statement
+#: it follows in the same block.
+_After = Optional[Mapping[int, ast.Statement]]
 
-def render_program(unit: ast.TranslationUnit) -> str:
-    """Render a whole translation unit back to MicroC source."""
+
+def render_program(unit: ast.TranslationUnit, after: _After = None) -> str:
+    """Render a whole translation unit back to MicroC source.
+
+    ``after`` adds statements to the rendering without touching ``unit`` —
+    how the patcher splices a patch into a checked program's shared AST.
+    """
     parts: list[str] = []
     for struct in unit.structs:
         parts.append(_render_struct(struct))
@@ -26,7 +36,7 @@ def render_program(unit: ast.TranslationUnit) -> str:
     if unit.globals:
         parts.append("")
     for function in unit.functions:
-        parts.append(_render_function(function))
+        parts.append(_render_function(function, after))
         parts.append("")
     return "\n".join(parts).rstrip() + "\n"
 
@@ -39,20 +49,26 @@ def _render_struct(struct: ast.StructDecl) -> str:
     return "\n".join(lines)
 
 
-def _render_function(function: ast.FunctionDecl) -> str:
+def _render_function(function: ast.FunctionDecl, after: _After) -> str:
     parameters = ", ".join(f"{param.type_ref} {param.name}" for param in function.parameters)
     header = f"{function.return_type} {function.name}({parameters}) {{"
-    body = _render_block(function.body, 1)
+    body = _render_block(function.body, 1, after)
     return "\n".join([header, body, "}"])
 
 
-def _render_block(block: ast.Block, depth: int) -> str:
-    lines = [render_statement(statement, depth) for statement in block.statements]
+def _render_block(block: ast.Block, depth: int, after: _After) -> str:
+    lines = []
+    for statement in block.statements:
+        lines.append(render_statement(statement, depth, after))
+        extra = after.get(statement.node_id) if after else None
+        if extra is not None:
+            lines.append(render_statement(extra, depth))
     return "\n".join(lines)
 
 
-def render_statement(statement: ast.Statement, depth: int = 0) -> str:
-    """Render one statement at the given indentation depth."""
+def render_statement(statement: ast.Statement, depth: int = 0, after: _After = None) -> str:
+    """Render one statement at the given indentation depth (``after``: as in
+    :func:`render_program`)."""
     pad = _INDENT * depth
 
     if isinstance(statement, ast.VarDecl):
@@ -64,16 +80,16 @@ def render_statement(statement: ast.Statement, depth: int = 0) -> str:
 
     if isinstance(statement, ast.If):
         lines = [f"{pad}if ({render_expression(statement.condition)}) {{"]
-        lines.append(_render_block(statement.then_block, depth + 1))
+        lines.append(_render_block(statement.then_block, depth + 1, after))
         if statement.else_block is not None:
             lines.append(f"{pad}}} else {{")
-            lines.append(_render_block(statement.else_block, depth + 1))
+            lines.append(_render_block(statement.else_block, depth + 1, after))
         lines.append(f"{pad}}}")
         return "\n".join(line for line in lines if line)
 
     if isinstance(statement, ast.While):
         lines = [f"{pad}while ({render_expression(statement.condition)}) {{"]
-        lines.append(_render_block(statement.body, depth + 1))
+        lines.append(_render_block(statement.body, depth + 1, after))
         lines.append(f"{pad}}}")
         return "\n".join(line for line in lines if line)
 

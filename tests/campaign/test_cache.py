@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-from repro.campaign import PersistentSolverCache, query_key
+import json
+import multiprocessing
+import sys
+import threading
+
+import pytest
+
+import repro.campaign.cache as cache_module
+from repro.campaign import PersistentSolverCache, open_solver_cache, query_key
+from repro.obs import metrics as obs_metrics
 from repro.solver.equivalence import EquivalenceChecker, EquivalenceOptions, Verdict
 from repro.symbolic import builder
 
@@ -194,3 +203,205 @@ def test_option_variants_do_not_share_persistent_entries(tmp_path):
     same = EquivalenceChecker(options=EquivalenceOptions(persistent_cache_path=path))
     same.equivalent(left, right)
     assert same.statistics.persistent_cache_hits == 1
+
+
+# -- per-process memoization of flat files -------------------------------------------
+
+
+@pytest.fixture
+def metrics_on():
+    obs_metrics.REGISTRY.reset()
+    obs_metrics.REGISTRY.enable()
+    yield obs_metrics.REGISTRY
+    obs_metrics.REGISTRY.reset()
+    obs_metrics.REGISTRY.disable()
+
+
+def _lines_loaded(registry) -> float:
+    return registry.counter("solver.persistent_lines_loaded")
+
+
+def _append_from_another_process(path, key: str) -> None:
+    process = multiprocessing.get_context("fork").Process(
+        target=_put, args=(str(path), key)
+    )
+    process.start()
+    process.join(timeout=30)
+    assert process.exitcode == 0
+
+
+def _put(path: str, key: str) -> None:
+    PersistentSolverCache(path).put(key, {"verdict": "equivalent"})
+
+
+def test_reopening_a_path_reuses_the_instance_and_parses_only_new_lines(
+    tmp_path, metrics_on
+):
+    path = tmp_path / "cache.jsonl"
+    writer = PersistentSolverCache(path)
+    writer.put("k1", {"verdict": "equivalent"})
+    writer.put("k2", {"verdict": "equivalent"})
+
+    first = open_solver_cache(str(path))
+    assert _lines_loaded(metrics_on) == 2
+    writer.put("k3", {"verdict": "not-equivalent"})
+
+    second = open_solver_cache(str(path))
+    assert second is first
+    assert second.get("k1") == {"verdict": "equivalent"}
+    assert second.get("k3") == {"verdict": "not-equivalent"}
+    # k1 and k2 were parsed once; the reopen and the miss read only k3.
+    assert _lines_loaded(metrics_on) == 3
+
+
+def test_memoized_instance_sees_a_line_another_process_appended(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = open_solver_cache(str(path))
+    cache.put("mine", {"verdict": "equivalent"})
+    _append_from_another_process(path, "theirs")
+    assert open_solver_cache(str(path)) is cache
+    assert cache.get("theirs") == {"verdict": "equivalent"}
+
+
+def test_delete_and_recreate_at_the_same_path_gives_a_fresh_load(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first = open_solver_cache(str(path))
+    first.put("k1", {"verdict": "equivalent"})
+    path.unlink()
+    # Same-length lines and a larger file: the inode may be reused and the
+    # size passes, so only the content check can tell the files apart.
+    recreated = PersistentSolverCache(path)
+    recreated.put("k2", {"verdict": "equivalent"})
+    recreated.put("k3", {"verdict": "equivalent"})
+
+    reopened = open_solver_cache(str(path))
+    assert reopened is not first
+    assert "k1" not in reopened
+    assert reopened.get("k2") == {"verdict": "equivalent"}
+
+
+def test_truncation_gives_a_fresh_load(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first = open_solver_cache(str(path))
+    first.put("k1", {"verdict": "equivalent"})
+    first.put("k2", {"verdict": "equivalent"})
+
+    path.write_bytes(b"")
+    emptied = open_solver_cache(str(path))
+    assert emptied is not first
+    assert len(emptied) == 0
+
+    emptied.put("k3", {"verdict": "equivalent"})
+    with open(path, "r+b") as handle:
+        handle.truncate(0)
+    PersistentSolverCache(path).put("k4", {"verdict": "equivalent"})
+    PersistentSolverCache(path).put("k5", {"verdict": "equivalent"})
+    refilled = open_solver_cache(str(path))
+    assert refilled is not emptied
+    assert "k3" not in refilled
+    assert refilled.get("k5") == {"verdict": "equivalent"}
+
+
+def test_checkers_in_one_process_load_each_line_once(tmp_path, metrics_on):
+    """N jobs' checkers share one instance: each line is parsed once, not N times."""
+    path = tmp_path / "cache.jsonl"
+    sibling = PersistentSolverCache(path)
+    for index in range(5):
+        sibling.put(f"warm-{index}", {"verdict": "equivalent"})
+    options = EquivalenceOptions(persistent_cache_path=str(path))
+
+    for job in range(4):
+        # Each job misses on its own query, so it looks for appended lines.
+        left = builder.mul(_field(f"/n{job}"), builder.const(2, 16))
+        right = builder.shl(_field(f"/n{job}"), builder.const(1, 16))
+        checker = EquivalenceChecker(options=options)
+        assert checker.equivalent(left, right).verdict is Verdict.EQUIVALENT
+        if job == 1:
+            sibling.put("late-1", {"verdict": "equivalent"})
+            sibling.put("late-2", {"verdict": "equivalent"})
+    # The sibling's 5 + 2 lines are parsed once each.  The jobs' own verdicts
+    # land at the loaded offset and are never parsed back; a fresh instance
+    # per job would have parsed 5 + 6 + 9 + 10 = 30 lines.
+    assert _lines_loaded(metrics_on) == 7
+    assert len(path.read_text().splitlines()) == 11
+
+
+def test_threads_sharing_one_instance_write_each_key_once_and_skip_no_line(tmp_path):
+    """The daemon's sessions share one instance across threads."""
+    path = tmp_path / "cache.jsonl"
+    shared = open_solver_cache(str(path))
+    sibling = PersistentSolverCache(path)  # a writer in another process
+    keys = [f"key-{index}" for index in range(150)]
+
+    def work(thread: int) -> None:
+        for index, key in enumerate(keys):
+            shared.put(key, {"verdict": "equivalent"})  # every thread, same keys
+            if thread == 0:
+                sibling.put(f"sibling-{index}", {"verdict": "equivalent"})
+            shared.refresh()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=work, args=(thread,)) for thread in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+    shared.refresh()
+    written = [json.loads(line)["k"] for line in path.read_text().splitlines()]
+    assert len(written) == len(set(written)) == 2 * len(keys)
+    assert all(key in shared for key in written)
+    assert shared.describes_file()
+
+
+# -- one process, many scenario jobs ---------------------------------------------------
+
+
+def _comparable(result: dict) -> tuple[dict, dict]:
+    record = {
+        name: value
+        for name, value in result["record"].items()
+        if name not in ("generation_time_s", "stage_timings")
+    }
+    counters = {
+        name: value
+        for name, value in result["metrics"]["counters"].items()
+        if not name.endswith(".seconds") and name != "solver.persistent_lines_loaded"
+    }
+    return record, counters
+
+
+def test_matrix_jobs_on_a_shared_instance_match_a_fresh_cache_per_job(
+    tmp_path, monkeypatch
+):
+    """Reusing the flat cache across jobs changes no record and no counter."""
+    from repro.lang import clear_compile_cache
+    from repro.scenarios import corpus_plan, generate_corpus
+    from repro.scenarios.runner import matrix_job_runner
+
+    corpus = generate_corpus(seed=0, pairs_per_class=1)
+    jobs = [job.to_dict() for job in corpus_plan(corpus).jobs]
+    manifest = str(corpus.save(tmp_path / "scenarios.json"))
+
+    def campaign(store: str, fresh_per_job: bool) -> list:
+        clear_compile_cache()
+        cache_path = str(tmp_path / store / "solver_cache.jsonl")
+        results = []
+        # Twice over the matrix, so the second pass answers from the file.
+        for payload in jobs + jobs:
+            if fresh_per_job:
+                monkeypatch.setattr(cache_module, "_OPEN_FLAT", {})
+            results.append(
+                _comparable(matrix_job_runner(payload, cache_path, manifest))
+            )
+        return results
+
+    fresh = campaign("fresh", fresh_per_job=True)
+    shared = campaign("shared", fresh_per_job=False)
+    assert shared == fresh
+    assert sum(record["solver_persistent_hits"] for record, _ in shared) > 0
