@@ -10,8 +10,8 @@ dissector on the degenerate packet.
 
 import pytest
 
-from repro.apps import get_application
-from repro.core import CodePhage, CodePhageOptions, PatchStrategy
+from repro.api import CodePhageOptions, RepairRequest, repair
+from repro.core import PatchStrategy
 from repro.experiments import ERROR_CASES
 from repro.formats import get_format
 from repro.lang import RunStatus, compile_program, run_program
@@ -21,15 +21,8 @@ CASE = ERROR_CASES["wireshark-dcp"]
 
 
 def _transfer(strategy: PatchStrategy):
-    phage = CodePhage(CodePhageOptions(patch_strategy=strategy))
-    return phage.transfer(
-        CASE.application(),
-        CASE.target(),
-        get_application("wireshark-1.8.6"),
-        CASE.seed_input(),
-        CASE.error_input(),
-        format_name="dcp",
-    )
+    request = RepairRequest.for_case(CASE, donor="wireshark-1.8.6")
+    return repair(request, options=CodePhageOptions(patch_strategy=strategy)).outcome
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,7 @@ translates into a one-line recipient patch over ``dinfo.output_width`` and
 
 import pytest
 
-from repro.apps import get_application
-from repro.core import CodePhage
+from repro.api import RepairRequest, repair
 from repro.experiments import ERROR_CASES
 from repro.lang import RunStatus, run_program
 from repro.formats import get_format
@@ -19,15 +18,7 @@ CASE = ERROR_CASES["cwebp-jpegdec"]
 
 
 def _run_transfer():
-    phage = CodePhage()
-    return phage.transfer(
-        CASE.application(),
-        CASE.target(),
-        get_application("feh"),
-        CASE.seed_input(),
-        CASE.error_input(),
-        format_name="jpeg",
-    )
+    return repair(RepairRequest.for_case(CASE, donor="feh")).outcome
 
 
 @pytest.fixture(scope="module")

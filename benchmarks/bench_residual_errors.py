@@ -10,8 +10,7 @@ widening the validation rescan to every allocation site of the recipient
 
 import pytest
 
-from repro.apps import get_application
-from repro.core import CodePhage, CodePhageOptions
+from repro.api import CodePhageOptions, RepairRequest, RepairSession
 from repro.core.validation import ValidationOptions
 from repro.experiments import ERROR_CASES
 
@@ -21,15 +20,8 @@ CASE = ERROR_CASES["swfplay-jpeg"]
 
 def _transfer_with_program_scope():
     options = CodePhageOptions(validation=ValidationOptions(diode_scope="program"))
-    phage = CodePhage(options)
-    return phage.transfer(
-        CASE.application(),
-        CASE.target(),
-        get_application("gnash"),
-        CASE.seed_input(),
-        CASE.error_input(),
-        format_name="swf",
-    )
+    session = RepairSession(options=options)
+    return session.run(RepairRequest.for_case(CASE, donor="gnash")).outcome
 
 
 @pytest.fixture(scope="module")

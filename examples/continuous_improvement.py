@@ -14,8 +14,9 @@ Run with::
     python examples/continuous_improvement.py
 """
 
+from repro.api import RepairRequest, RepairSession
 from repro.apps import get_application
-from repro.core import CodePhage, select_donors
+from repro.core import select_donors
 from repro.core.reporting import ResultsDatabase
 from repro.discovery import Diode, FieldFuzzer, FuzzerOptions
 from repro.formats import get_format
@@ -54,7 +55,7 @@ def discover(app_name: str, format_name: str, tool: str):
 
 def main() -> None:
     database = ResultsDatabase()
-    phage = CodePhage()
+    session = RepairSession()
 
     for app_name, format_name, tool in LIBRARY:
         application = get_application(app_name)
@@ -69,8 +70,9 @@ def main() -> None:
         selection = select_donors(format_name, seed, error_input, recipient=application)
         print("candidate donors:", [donor.full_name for donor in selection.donors])
 
-        outcome = phage.repair(application, target, seed, error_input, format_name,
-                               donors=selection.donors)
+        request = RepairRequest(application, target, seed, error_input, format_name,
+                                donors=selection.donors)
+        outcome = session.run(request).outcome
         record = database.add(outcome)
         if outcome.success:
             print(f"repaired with a check from {outcome.donor}:")

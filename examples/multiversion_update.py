@@ -12,8 +12,8 @@ Run with::
     python examples/multiversion_update.py
 """
 
-from repro.apps import get_application
-from repro.core import CodePhage, CodePhageOptions, PatchStrategy
+from repro.api import CodePhageOptions, RepairRequest, repair
+from repro.core import PatchStrategy
 from repro.experiments import ERROR_CASES
 from repro.formats import get_format
 from repro.lang import compile_program, run_program
@@ -21,15 +21,9 @@ from repro.lang import compile_program, run_program
 
 def transfer(strategy: PatchStrategy):
     case = ERROR_CASES["wireshark-dcp"]
-    phage = CodePhage(CodePhageOptions(patch_strategy=strategy))
-    return case, phage.transfer(
-        case.application(),
-        case.target(),
-        get_application("wireshark-1.8.6"),
-        case.seed_input(),
-        case.error_input(),
-        "dcp",
-    )
+    request = RepairRequest.for_case(case, donor="wireshark-1.8.6")
+    options = CodePhageOptions(patch_strategy=strategy)
+    return case, repair(request, options=options).outcome
 
 
 def main() -> None:

@@ -10,11 +10,8 @@ The stage-graph machinery behind the facade (stages, contracts, search
 policies, the engine) is re-exported here for extension: register an
 observer for progress/metrics, pick a :class:`SearchPolicy` by name
 (``"first-validated"``, ``"smallest-patch"``, ``"all-donors"``), or add a
-new policy against :class:`TransferEngine`.
-
-The legacy entry points (``repro.core.CodePhage.transfer``/``repair``) are
-thin shims over this module and produce identical outcomes (enforced by
-``tests/api/test_facade_parity.py``).
+new policy against :class:`TransferEngine`.  This is the only entry point
+into a repair.
 """
 
 from ..core.events import (

@@ -150,9 +150,10 @@ class RepairSession:
         """The session's cumulative solver accounting.
 
         One dict with the query-level counters (queries, cache hits, batch
-        dedupe) plus a ``backends`` sub-dict of per-backend counters — the
-        same shape campaign reports aggregate.  Requests run through this
-        session share one checker, so these numbers span every request.
+        dedupe) plus a ``backends`` sub-dict holding the SAT solver's
+        counters under its name — the shape campaign reports aggregate.
+        Requests run through this session share one checker, so these
+        numbers span every request.
         """
         stats = self.checker.statistics
         batch = self.checker.query_batch
@@ -164,7 +165,7 @@ class RepairSession:
             "batch_hits": batch.hits,
             "batch_dedupe_rate": round(batch.dedupe_rate, 4),
             "expensive_queries": stats.solver_invocations,
-            "backends": self.checker.backend_statistics(),
+            "backends": self.checker.sat_counters(),
         }
 
     # -- request API -------------------------------------------------------------------
@@ -224,32 +225,6 @@ class RepairSession:
     ) -> RepairReport:
         """Run one case-like object (see :meth:`RepairRequest.for_case`)."""
         return self.run(RepairRequest.for_case(case, donor=donor, donors=donors, policy=policy))
-
-    # -- legacy-shaped helpers (the CodePhage shim calls these) ------------------------
-
-    def transfer(
-        self,
-        recipient: Application,
-        target: ErrorTarget,
-        donor: Application,
-        seed: bytes,
-        error_input: bytes,
-        format_name: Optional[str] = None,
-    ) -> TransferOutcome:
-        return self.engine.transfer(recipient, target, donor, seed, error_input, format_name)
-
-    def repair(
-        self,
-        recipient: Application,
-        target: ErrorTarget,
-        seed: bytes,
-        error_input: bytes,
-        format_name: Optional[str] = None,
-        donors: Optional[Sequence[Application]] = None,
-    ) -> TransferOutcome:
-        return self.engine.repair(
-            recipient, target, seed, error_input, format_name, donors=donors
-        ).outcome
 
     @staticmethod
     def _application(reference: ApplicationRef) -> Application:
@@ -328,8 +303,8 @@ class SessionPool:
                 else:
                     merged[name] = merged.get(name, 0) + value
             merged_backends = merged.setdefault("backends", {})
-            for backend, counters in backends.items():
-                slot = merged_backends.setdefault(backend, {})
+            for solver, counters in backends.items():
+                slot = merged_backends.setdefault(solver, {})
                 for name, value in counters.items():
                     slot[name] = slot.get(name, 0) + value
         return merged

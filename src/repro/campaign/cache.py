@@ -30,10 +30,9 @@ keyed by strings, and :mod:`repro.solver.equivalence` owns the
 (since ``CACHE_SCHEMA_VERSION`` 3): equivalence verdicts under the sorted
 digest-pair of :func:`query_key`, and satisfiability verdicts under a
 ``##sat##``-tagged single digest.  Namespaces fold in the schema version
-and every verdict-affecting option; proved verdicts live in a
-backend-neutral namespace shared by all solver backends, while
-budget-limited verdicts are quarantined under a backend-qualified one
-(see ``docs/SOLVER.md``).  Keys are built from the
+and every verdict-affecting option, the SAT conflict budget included, so
+a budget-limited verdict is only replayed under the same budget (see
+``docs/SOLVER.md``).  Keys are built from the
 structural *digests* of the *simplified* query pair
 (:attr:`repro.symbolic.expr.Expr.digest`): content hashes computed bottom-up
 over the hash-consed expression DAG.  Digests are deterministic across

@@ -175,14 +175,20 @@ def worker_loop(
     doubles as its request for the next job.  Runner exceptions become
     failed attempts; only the engine ever decides a worker is dead.  The
     loop ends on ``shutdown``, or when the engine process has died.
+
+    The engine's death shows as this process being re-parented.  Its
+    ``parent_process()`` sentinel cannot show it: workers are forked one
+    after another, so every later sibling inherits the engine's write end
+    of an earlier worker's sentinel pipe, which then stays open while that
+    sibling lives.
     """
-    engine = multiprocessing.parent_process()
+    engine_pid = multiprocessing.parent_process().pid
     doorbells.put(work_request(worker_id))
     while True:
         try:
             message = inbox.get(timeout=_ORPHAN_CHECK_S)
         except queue_module.Empty:
-            if engine is not None and not engine.is_alive():
+            if os.getppid() != engine_pid:
                 return
             continue
         if message.get("kind") == KIND_SHUTDOWN:
@@ -609,7 +615,7 @@ class ClassAccountant:
 
 def account_completed(report, result) -> None:
     """Fold one completed attempt's record into the report aggregates."""
-    from ..solver.backends import merge_snapshots
+    from ..solver.engine import merge_snapshots
 
     record = result.record or {}
     report.solver_queries += record.get("solver_queries", 0)

@@ -48,7 +48,6 @@ from ..core.patch import PatchStrategy
 from ..core.pipeline import CodePhageOptions
 from ..core.stages import POLICIES
 from ..experiments import ERROR_CASES, FIGURE8_ROWS
-from ..solver.backends import BACKENDS
 from ..solver.equivalence import EquivalenceOptions
 
 
@@ -78,7 +77,6 @@ _EQUIVALENCE_KEYS = frozenset(
         "sat_truth_cost_budget",
         "sat_conflict_limit",
         "random_seed",
-        "backend",
     }
 )
 
@@ -226,12 +224,6 @@ def _validated_variants(
             raise PlanError(
                 f"variant {variant_name!r} has unknown search policy {policy!r}; "
                 "expected one of " + ", ".join(sorted(POLICIES))
-            )
-        backend = overrides.get("backend")
-        if backend is not None and backend not in BACKENDS:
-            raise PlanError(
-                f"variant {variant_name!r} has unknown solver backend {backend!r}; "
-                "expected one of " + ", ".join(sorted(BACKENDS))
             )
     return variant_items
 

@@ -147,9 +147,9 @@ class CampaignReport:
     #: Wall time per pipeline stage, summed over every completed job (the
     #: per-job deltas are persisted with each attempt record in the store).
     stage_timings: dict[str, float] = field(default_factory=dict)
-    #: Per-backend solver counters summed over every completed job, keyed by
-    #: backend name ("cdcl", "dpll", "portfolio"): queries, sat/unsat/unknown
-    #: verdicts, conflicts, learned clauses, wall time, portfolio wins.
+    #: SAT solver counters summed over every completed job, keyed by solver
+    #: name ("cdcl"): queries, sat/unsat/unknown verdicts, conflicts, learned
+    #: clauses, wall time.
     backend_stats: dict[str, dict] = field(default_factory=dict)
     #: Per-class transfer accounting, populated only when the scheduler was
     #: given a ``job_class`` mapping (the scenario matrix maps each job to
@@ -257,7 +257,7 @@ class CampaignReport:
             lines.append(f"per-stage time (all jobs): {breakdown}")
         for name in sorted(self.backend_stats):
             counters = self.backend_stats[name]
-            detail = (
+            lines.append(
                 f"backend {name}: {counters.get('queries', 0)} queries "
                 f"({counters.get('sat', 0)} sat, {counters.get('unsat', 0)} unsat, "
                 f"{counters.get('unknown', 0)} unknown), "
@@ -265,9 +265,6 @@ class CampaignReport:
                 f"{counters.get('learned_clauses', 0)} learned, "
                 f"{counters.get('time_s', 0.0):.2f}s"
             )
-            if counters.get("wins"):
-                detail += f", {counters['wins']} portfolio wins"
-            lines.append(detail)
         for name in sorted(self.class_stats):
             counters = self.class_stats[name]
             lines.append(

@@ -46,9 +46,8 @@ The store hands workers one shared ``solver_cache.jsonl``; isolation between
 incompatible configurations happens in the *keys*, not in files.  Each entry
 key is ``<namespace>##<digest-key>`` where the namespace folds in the cache
 schema version and every equivalence option (sampling depth, SAT budgets,
-seed — see ``EquivalenceChecker._ns_neutral``/``_ns_backend``: proved
-verdicts are shared across solver backends, budget-limited ones quarantined
-per backend), and the digest key identifies the simplified query
+seed — see ``EquivalenceChecker._namespace``), and the digest key
+identifies the simplified query
 (order-insensitive pairs for equivalence, ``##sat##``-tagged single digests
 for satisfiability).  Campaign variants with different solver options
 therefore coexist in one file without replaying

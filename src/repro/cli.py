@@ -3,7 +3,7 @@
 Subcommands::
 
     codephage list                       # applications and formats in the database
-    codephage transfer CASE [--donor D] [--progress] [--policy P] [--backend B]
+    codephage transfer CASE [--donor D] [--progress] [--policy P]
                                          # run one transfer (e.g. cwebp-jpegdec)
     codephage figure8 [--out FILE] [--jobs N] [--nodes N] [--resume]
                                          # regenerate the Figure 8 table
@@ -44,7 +44,6 @@ from pathlib import Path
 
 from .api import (
     POLICIES,
-    CodePhageOptions,
     ProgressPrinter,
     RepairRequest,
     RepairSession,
@@ -53,7 +52,6 @@ from .apps import all_applications, get_application
 from .campaign import (
     CampaignPlan,
     CampaignScheduler,
-    JobSpec,
     PlanError,
     RunStore,
     SchedulerOptions,
@@ -86,8 +84,6 @@ from .scenarios import (
     matrix_scheduler_kwargs,
     prepare_matrix_store,
 )
-from .solver.backends import BACKENDS
-from .solver.equivalence import EquivalenceOptions
 
 DEFAULT_FIGURE8_STORE = "results/figure8-campaign"
 DEFAULT_CAMPAIGN_STORE = "results/campaign"
@@ -119,12 +115,7 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
     if args.trace:
         tracer = Tracer()
         observers.append(TraceObserver(tracer))
-    options = None
-    if args.backend:
-        options = CodePhageOptions(
-            equivalence_options=EquivalenceOptions(backend=args.backend)
-        )
-    session = RepairSession(options=options, observers=observers)
+    session = RepairSession(observers=observers)
     request = RepairRequest(
         recipient=case.application(),
         target=case.target(),
@@ -162,7 +153,7 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
             if not counters.get("queries"):
                 continue
             print(
-                f"  solver backend {name}: {counters['queries']} queries, "
+                f"  solver {name}: {counters['queries']} queries, "
                 f"{counters['conflicts']} conflicts, "
                 f"{counters['learned_clauses']} learned, "
                 f"{counters['time_s'] * 1000.0:.1f}ms"
@@ -172,27 +163,6 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
             f"({solver['batch_dedupe_rate']:.0%} dedupe rate)"
         )
     return 0 if outcome.success else 1
-
-
-def _apply_backend(plan: CampaignPlan, backend: str | None) -> CampaignPlan:
-    """Pin every job of the plan to one solver backend.
-
-    The override is part of each job's content-addressed identity, so runs
-    with different backends resume independently within one store.
-    """
-    if not backend:
-        return plan
-    jobs = tuple(
-        JobSpec(
-            case_id=job.case_id,
-            donor=job.donor,
-            strategy=job.strategy,
-            variant=job.variant,
-            overrides=tuple(sorted({**dict(job.overrides), "backend": backend}.items())),
-        )
-        for job in plan.jobs
-    )
-    return CampaignPlan(name=plan.name, jobs=jobs)
 
 
 def _run_campaign(
@@ -299,7 +269,7 @@ def _run_campaign(
 
 def _cmd_figure8(args: argparse.Namespace) -> int:
     return _run_campaign(
-        _apply_backend(figure8_plan(), args.backend),
+        figure8_plan(),
         args.store,
         jobs=args.jobs,
         resume=not args.fresh,
@@ -323,7 +293,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _run_campaign(
-        _apply_backend(plan, args.backend),
+        plan,
         args.store,
         jobs=args.jobs,
         resume=not args.fresh,
@@ -357,9 +327,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
                 hardness=hardness,
             )
         )
-        plan = _apply_backend(
-            corpus_plan(corpus, strategies=args.strategies or None), args.backend
-        )
+        plan = corpus_plan(corpus, strategies=args.strategies or None)
         store, manifest_path = prepare_matrix_store(
             corpus, plan, args.store, resume=not args.fresh
         )
@@ -532,12 +500,6 @@ def main(argv: list[str] | None = None) -> int:
         help="search policy for the candidate/donor retry loops",
     )
     transfer.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="SAT backend for solver queries (default: cdcl)",
-    )
-    transfer.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -590,12 +552,6 @@ def main(argv: list[str] | None = None) -> int:
             action="store_true",
             help="run MicroC on the tree-walking interpreter instead of the "
             "compiled bytecode tier",
-        )
-        command.add_argument(
-            "--backend",
-            choices=sorted(BACKENDS),
-            default=None,
-            help="pin every job to this SAT backend (part of the job identity)",
         )
         # Campaigns resume by default: completed jobs in the store are
         # skipped, so re-running an interrupted command picks up where it

@@ -24,7 +24,6 @@ from .excision import ExcisedCheck, excise_check
 from .insertion import InsertionPoint, InsertionReport, find_insertion_points
 from .patch import GeneratedPatch, PatchStrategy, build_patch, render_microc
 from .pipeline import (
-    CodePhage,
     CodePhageOptions,
     InsertionAccounting,
     TransferMetrics,
@@ -49,7 +48,6 @@ from .validation import ValidationOptions, ValidationOutcome, validate_patch
 __all__ = [
     "CandidateCheck",
     "CandidateRejected",
-    "CodePhage",
     "CodePhageOptions",
     "ContractError",
     "DiscoveryResult",

@@ -1,22 +1,19 @@
-"""The Code Phage transfer data model, plus the legacy ``CodePhage`` facade.
+"""The Code Phage transfer data model.
 
 The stage sequencing that used to live here (paper Figure 4: donor selection,
 candidate check discovery, check excision, insertion-point identification,
 rewrite, patch generation, validation with retry over checks, points, and
 donors) now lives in the stage-graph engine (:mod:`repro.core.stages`) behind
-the public :mod:`repro.api` facade.  This module keeps the result types —
-:class:`TransferMetrics` captures exactly the columns of the paper's Figure 8
-plus the solver and per-stage timing accounting — and :class:`CodePhage`, a
-thin compatibility shim whose ``transfer``/``repair`` delegate to the facade
-(a parity test pins the shim and the facade to identical outcomes).
+the public :mod:`repro.api` facade.  This module keeps the options and the
+result types: :class:`TransferMetrics` captures exactly the columns of the
+paper's Figure 8 plus the solver and per-stage timing accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..apps.registry import Application, ErrorTarget
 from ..solver.equivalence import EquivalenceOptions
 from ..symbolic.simplify import SimplifyOptions
 from .excision import ExcisedCheck
@@ -96,9 +93,10 @@ class TransferMetrics:
     #: Structurally identical blasted/satisfiability queries answered by the
     #: session's :class:`~repro.solver.engine.QueryBatch` during this transfer.
     solver_batch_hits: int = 0
-    #: Per-backend counter deltas (queries, sat/unsat/unknown, conflicts,
-    #: learned clauses, time) for this transfer, keyed by backend name; the
-    #: campaign scheduler aggregates these into ``CampaignReport.backend_stats``.
+    #: SAT solver counter deltas (queries, sat/unsat/unknown, conflicts,
+    #: learned clauses, time) for this transfer, keyed by solver name
+    #: (``{"cdcl": {...}}``); the campaign scheduler aggregates these into
+    #: ``CampaignReport.backend_stats``.
     solver_backend_stats: dict[str, dict] = field(default_factory=dict)
     #: Cumulative wall time per pipeline stage, populated solely from the
     #: ``StageFinished`` event stream (see :mod:`repro.core.events`).
@@ -133,44 +131,3 @@ class TransferOutcome:
         if not self.checks:
             return None
         return self.checks[-1].patched_source
-
-
-class CodePhage:
-    """The horizontal code transfer system (legacy compatibility facade).
-
-    New code should use :mod:`repro.api` (``RepairRequest`` ->
-    ``RepairReport``); this class remains for existing callers and delegates
-    to a :class:`repro.api.RepairSession` that owns the stage-graph engine
-    and the shared :class:`~repro.solver.equivalence.EquivalenceChecker`.
-    """
-
-    def __init__(self, options: Optional[CodePhageOptions] = None) -> None:
-        from ..api.facade import RepairSession  # deferred: api wraps core
-
-        self.session = RepairSession(options=options)
-        self.options = self.session.options
-        self.checker = self.session.checker
-
-    def transfer(
-        self,
-        recipient: Application,
-        target: ErrorTarget,
-        donor: Application,
-        seed: bytes,
-        error_input: bytes,
-        format_name: Optional[str] = None,
-    ) -> TransferOutcome:
-        """Transfer a check from ``donor`` to eliminate ``target`` in ``recipient``."""
-        return self.session.transfer(recipient, target, donor, seed, error_input, format_name)
-
-    def repair(
-        self,
-        recipient: Application,
-        target: ErrorTarget,
-        seed: bytes,
-        error_input: bytes,
-        format_name: Optional[str] = None,
-        donors: Optional[Sequence[Application]] = None,
-    ) -> TransferOutcome:
-        """Full pipeline including donor selection: try donors until one validates."""
-        return self.session.repair(recipient, target, seed, error_input, format_name, donors)

@@ -36,7 +36,7 @@ from ..lang.checker import Program, compile_program
 from ..lang.patcher import PatchError, apply_patch
 from ..lang.trace import ErrorKind
 from ..lang.vm import VM, VMConfig
-from ..solver.backends import diff_snapshots
+from ..solver.engine import diff_snapshots
 from ..solver.equivalence import EquivalenceChecker
 from .check_discovery import discover_candidate_checks, relevant_fields, run_instrumented
 from .donor_selection import select_donors
@@ -625,7 +625,7 @@ class TransferEngine:
         base_persistent_hits = stats.persistent_cache_hits
         base_expensive = stats.solver_invocations
         base_batch_hits = self.checker.query_batch.hits
-        base_backends = self.checker.backend_statistics()
+        base_sat = self.checker.sat_counters()
 
         timer = self.events.subscribe(StageTimingObserver())
         try:
@@ -686,7 +686,7 @@ class TransferEngine:
             metrics.solver_expensive_queries = stats.solver_invocations - base_expensive
             metrics.solver_batch_hits = self.checker.query_batch.hits - base_batch_hits
             metrics.solver_backend_stats = diff_snapshots(
-                base_backends, self.checker.backend_statistics()
+                base_sat, self.checker.sat_counters()
             )
 
     def _run_round(

@@ -21,7 +21,7 @@ from typing import Optional
 from .api import RepairRequest, RepairSession
 from .apps import get_application
 from .apps.registry import Application, ErrorTarget
-from .core.pipeline import CodePhage, CodePhageOptions, TransferOutcome
+from .core.pipeline import CodePhageOptions, TransferOutcome
 from .discovery.diode import Diode, DiodeOptions
 from .discovery.fuzzer import FieldFuzzer, FuzzerOptions
 from .formats.registry import get_format
@@ -197,34 +197,22 @@ FIGURE8_ROWS: tuple[Figure8Row, ...] = tuple(
 def run_row(
     row: Figure8Row,
     options: Optional[CodePhageOptions] = None,
-    phage: Optional[CodePhage] = None,
     session: Optional[RepairSession] = None,
 ) -> TransferOutcome:
     """Run one Figure 8 row through the :mod:`repro.api` facade.
 
-    This is the campaign worker entry point: the scheduler's workers call it
-    (via :func:`execute_job`) with a pre-configured session, and standalone
-    callers get a fresh default session per row.  ``phage`` is accepted for
-    backward compatibility and contributes its session.
+    Batch callers pass one pre-configured ``session`` for every row;
+    standalone callers get a fresh session per row, built from ``options``.
     """
-    case = row.case
     if session is None:
-        if phage is not None:
-            if options is not None:
-                raise ValueError(
-                    "pass either options or a pre-configured phage, not both: "
-                    "a given phage runs under its own options"
-                )
-            session = phage.session
-        else:
-            session = RepairSession(options=options)
-    elif phage is not None or options is not None:
+        session = RepairSession(options=options)
+    elif options is not None:
         raise ValueError(
-            "pass exactly one of options, phage, or session: a given session "
+            "pass either options or a session, not both: a given session "
             "runs under its own options"
         )
     report = session.run(
-        RepairRequest.for_case(case, donor=get_application(row.donor))
+        RepairRequest.for_case(row.case, donor=get_application(row.donor))
     )
     return report.outcome
 
@@ -258,9 +246,9 @@ def run_case_with_all_donors(
     """Run one error case against every donor listed for it.
 
     All donors run through one shared session — one solver checker, one
-    cache, one incremental backend — exactly like :meth:`CodePhage.repair`'s
+    cache, one incremental solver — exactly like a donor-selection repair's
     donor loop, so the per-donor solver/cache statistics are comparable
-    across the two paths.  Each outcome's metrics carry the per-backend
+    across the two paths.  Each outcome's metrics carry the SAT solver's
     counter deltas (``solver_backend_stats``) and query-batch hits for its
     donor, the same fields campaign workers persist and
     :class:`~repro.campaign.scheduler.CampaignReport` aggregates; later

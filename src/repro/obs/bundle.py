@@ -105,6 +105,8 @@ def build_bundle(
             "rejected": rejected,
         },
         "solver": {
+            # Jobs from stores written while the solver was selectable may
+            # still name one in their overrides.
             "backend": str(overrides.get("backend", "cdcl")),
             "queries": int(record.get("solver_queries", 0)),
             "cache_hits": int(record.get("solver_cache_hits", 0)),

@@ -128,7 +128,7 @@ def parse_submission(
     Transfer payload::
 
         {"kind": "transfer", "case": "cwebp-jpegdec", "donor": "feh",
-         "strategy": "exit", "overrides": {"backend": "cdcl"},
+         "strategy": "exit", "overrides": {"sample_count": 16},
          "budget_s": 20}
 
     Matrix payload::
@@ -138,7 +138,7 @@ def parse_submission(
 
     Everything after the shape checks is delegated to
     :func:`~repro.campaign.plan.matrix_plan`, so strategy, variant, policy
-    and backend validation — and their error messages — are identical to
+    and override-key validation — and their error messages — are identical to
     the campaign CLI's.
     """
     payload = _require_mapping(payload)

@@ -1,26 +1,15 @@
 """SMT-lite decision procedures for Code Phage.
 
 The original system queries Z3; here the same queries are answered by a hybrid
-engine built from pluggable SAT backends (:mod:`repro.solver.backends`: the
-incremental CDCL solver of :mod:`repro.solver.sat`, a DPLL reference solver,
-and a portfolio that races them), a bitvector bit-blaster
-(:mod:`repro.solver.bitblast`), exhaustive enumeration for small domains, and
-counterexample sampling.  All blasted queries flow through one incremental
-:class:`~repro.solver.engine.ValidationEngine` per checker, and the paper's
-two optimisations (disjoint-field filtering and query caching) are layered on
-top (:mod:`repro.solver.equivalence`).  ``docs/SOLVER.md`` documents the
-layer end to end.
+engine built from the incremental CDCL solver of :mod:`repro.solver.sat`, a
+bitvector bit-blaster (:mod:`repro.solver.bitblast`), exhaustive enumeration
+for small domains, and counterexample sampling.  All blasted queries flow
+through one incremental :class:`~repro.solver.engine.ValidationEngine` per
+checker, and the paper's two optimisations (disjoint-field filtering and
+query caching) are layered on top (:mod:`repro.solver.equivalence`).
+``docs/SOLVER.md`` documents the layer end to end.
 """
 
-from .backends import (
-    BACKENDS,
-    BackendStatistics,
-    CdclBackend,
-    DpllBackend,
-    PortfolioBackend,
-    SolverBackend,
-    make_backend,
-)
 from .bitblast import BitBlaster, BlastError, CNF, estimate_blast_cost
 from .engine import QueryBatch, SatOutcome, ValidationEngine
 from .equivalence import (
@@ -41,24 +30,18 @@ from .overflow import (
 from .sat import Result, Solver, SolverError, Status, solve_clauses
 
 __all__ = [
-    "BACKENDS",
-    "BackendStatistics",
     "BitBlaster",
     "BlastError",
     "CNF",
-    "CdclBackend",
-    "DpllBackend",
     "EquivalenceChecker",
     "EquivalenceOptions",
     "EquivalenceResult",
     "OverflowVerdict",
-    "PortfolioBackend",
     "QueryBatch",
     "QueryCache",
     "Result",
     "SatOutcome",
     "Solver",
-    "SolverBackend",
     "SolverError",
     "SolverStatistics",
     "Status",
@@ -66,7 +49,6 @@ __all__ = [
     "Verdict",
     "check_blocks_overflow",
     "estimate_blast_cost",
-    "make_backend",
     "overflow_condition",
     "overflow_witness",
     "solve_clauses",

@@ -5,10 +5,10 @@ Every blasted query the equivalence checker issues — equivalence differences
 through one :class:`ValidationEngine` per checker (and therefore one per
 ``RepairSession``).  The engine owns three things:
 
-* **one backend instance** (:mod:`repro.solver.backends`), selected by
-  ``EquivalenceOptions.backend``, used *incrementally*: its clause set only
-  ever grows, learned clauses persist, and each query is scoped by an
-  assumption literal instead of a permanent unit clause;
+* **one CDCL solver** (:class:`~repro.solver.sat.Solver`), used
+  *incrementally*: its clause set only ever grows, learned clauses persist,
+  and each query is scoped by an assumption literal instead of a permanent
+  unit clause;
 * **one shared bit-blaster**: expressions are hash-consed, so a subtree
   shared between queries (the same donor check rewritten against many
   insertion points, the same size expression re-validated per candidate) is
@@ -17,12 +17,16 @@ through one :class:`ValidationEngine` per checker (and therefore one per
 * **one query batch** (:class:`QueryBatch`): outcomes are memoised by the
   condition's structural digest, so a structurally identical query issued by
   a different candidate, donor, or pipeline stage is answered without
-  touching the solver at all.  The dedupe rate feeds ``SolverStatistics``
-  and the per-backend benchmark JSON.
+  touching the solver at all.  The dedupe rate feeds ``SolverStatistics``.
 
 Queries over a field used at conflicting widths cannot share the blaster's
 field variables; such queries transparently fall back to a one-shot blaster
-and a fresh backend instance (statistics still accrue to the same counters).
+and a fresh solver (statistics still accrue to the same counters).
+
+Solver counters are reported as ``{"cdcl": {...}}`` snapshots
+(:meth:`ValidationEngine.sat_counters`): transfer records, evidence bundles
+and campaign reports keep that per-solver shape, so stores written when
+several solvers were selectable still load and aggregate.
 """
 
 from __future__ import annotations
@@ -34,9 +38,80 @@ from typing import Optional
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..symbolic.expr import Expr, InputField
-from .backends import BackendStatistics, SolverBackend, make_backend
 from .bitblast import BitBlaster, BlastError
-from .sat import Status
+from .sat import Result, Solver, Status
+
+#: The key solver counters are filed under in records, bundles and reports.
+SOLVER_NAME = "cdcl"
+
+
+@dataclass
+class SatStatistics:
+    """Lifetime solver counters of one engine (JSON-friendly via :meth:`as_dict`)."""
+
+    queries: int = 0
+    sat: int = 0
+    unsat: int = 0
+    unknown: int = 0
+    conflicts: int = 0
+    decisions: int = 0
+    propagations: int = 0
+    learned_clauses: int = 0
+    time_s: float = 0.0
+
+    def record(self, result: Result, elapsed_s: float, learned: int) -> None:
+        self.queries += 1
+        self.conflicts += result.conflicts
+        self.decisions += result.decisions
+        self.propagations += result.propagations
+        self.learned_clauses += learned
+        self.time_s += elapsed_s
+        if result.status is Status.SAT:
+            self.sat += 1
+        elif result.status is Status.UNSAT:
+            self.unsat += 1
+        else:
+            self.unknown += 1
+
+    def as_dict(self) -> dict:
+        return {
+            "queries": self.queries,
+            "sat": self.sat,
+            "unsat": self.unsat,
+            "unknown": self.unknown,
+            "conflicts": self.conflicts,
+            "decisions": self.decisions,
+            "propagations": self.propagations,
+            "learned_clauses": self.learned_clauses,
+            "time_s": round(self.time_s, 6),
+        }
+
+
+def diff_snapshots(before: dict[str, dict], after: dict[str, dict]) -> dict[str, dict]:
+    """Per-solver counter deltas between two :meth:`ValidationEngine.sat_counters`.
+
+    Used to attribute a shared checker's lifetime counters to one transfer
+    (:class:`~repro.core.pipeline.TransferMetrics`).  Solvers with no
+    activity in the window are dropped so records stay compact.
+    """
+    deltas: dict[str, dict] = {}
+    for name, counters in after.items():
+        base = before.get(name, {})
+        delta = {
+            key: round(value - base.get(key, 0), 6)
+            for key, value in counters.items()
+        }
+        if any(delta.values()):
+            deltas[name] = delta
+    return deltas
+
+
+def merge_snapshots(total: dict[str, dict], extra: dict[str, dict]) -> None:
+    """Fold one snapshot/delta dict into an aggregate (campaign reporting)."""
+    for name, counters in extra.items():
+        bucket = total.setdefault(name, {})
+        for key, value in counters.items():
+            bucket[key] = round(bucket.get(key, 0) + value, 6)
 
 
 @dataclass
@@ -46,7 +121,6 @@ class SatOutcome:
     status: Status
     witness: Optional[dict[str, int]] = None
     conflicts: int = 0
-    backend: str = ""
 
     @property
     def is_sat(self) -> bool:
@@ -93,25 +167,16 @@ class QueryBatch:
 
 
 class ValidationEngine:
-    """Decides width-1 conditions with one incremental, shared backend."""
+    """Decides width-1 conditions with one incremental, shared CDCL solver."""
 
-    def __init__(
-        self,
-        backend: str = "cdcl",
-        conflict_limit: int = 5000,
-        use_batch: bool = True,
-    ) -> None:
-        self.backend_name = backend
+    def __init__(self, conflict_limit: int = 5000, use_batch: bool = True) -> None:
         self.conflict_limit = conflict_limit
         self.use_batch = use_batch
-        self.backend: SolverBackend = make_backend(backend)
+        self.solver = Solver()
+        self.statistics = SatStatistics()
         self.batch = QueryBatch()
         self._blaster = BitBlaster()
         self._fed_clauses = 0
-        #: Accumulated counters from one-shot fallback solves (each such
-        #: query gets a private backend: its blaster numbers variables from
-        #: 1, which cannot coexist with the shared solver's clause set).
-        self._one_shot_stats: dict[str, BackendStatistics] = {}
 
     # -- public API --------------------------------------------------------------
 
@@ -148,7 +213,6 @@ class ValidationEngine:
                         0.0,
                         cached=True,
                         status=cached.status.name,
-                        backend=cached.backend,
                     )
                 return cached
         started = time.perf_counter() if (tracer or registry) else 0.0
@@ -165,31 +229,14 @@ class ValidationEngine:
                 cached=False,
                 status=outcome.status.name,
                 conflicts=outcome.conflicts,
-                backend=outcome.backend,
             )
         if self.use_batch and outcome.status is not Status.UNKNOWN:
             self.batch.put("cnf", condition.digest, outcome)
         return outcome
 
-    def statistics_by_name(self) -> dict[str, BackendStatistics]:
-        """Lifetime statistics for the backend (and portfolio sub-backends)."""
-        merged = dict(self.backend.statistics_by_name())
-        for name, stats in self._one_shot_stats.items():
-            if name in merged:
-                combined = BackendStatistics()
-                combined.merge(merged[name])
-                combined.merge(stats)
-                merged[name] = combined
-            else:
-                merged[name] = stats
-        return merged
-
-    def backend_snapshot(self) -> dict[str, dict]:
-        """JSON-friendly snapshot of every backend's counters."""
-        return {
-            name: stats.as_dict()
-            for name, stats in self.statistics_by_name().items()
-        }
+    def sat_counters(self) -> dict[str, dict]:
+        """JSON-friendly snapshot of the solver counters, keyed by solver name."""
+        return {SOLVER_NAME: self.statistics.as_dict()}
 
     # -- solving -----------------------------------------------------------------
 
@@ -206,60 +253,61 @@ class ValidationEngine:
         self._blaster.commit()
 
         if isinstance(bit, bool):
-            return self._constant_outcome(bit, condition)
+            return _constant_outcome(bit, condition)
 
         # Feed the clauses this query added, then ask under an assumption —
         # never a unit clause, so the condition does not constrain later
         # queries sharing the solver.
-        self.backend.ensure_vars(self._blaster.cnf.num_vars)
+        self.solver.ensure_vars(self._blaster.cnf.num_vars)
         clauses = self._blaster.cnf.clauses
         for index in range(self._fed_clauses, len(clauses)):
-            self.backend.add_clause(clauses[index])
+            self.solver.add_clause(clauses[index])
         self._fed_clauses = len(clauses)
 
-        result = self.backend.solve(assumptions=[bit], max_conflicts=conflict_limit)
-        return self._outcome(result, condition, self._blaster)
+        result = self._timed_solve(self.solver, [bit], conflict_limit)
+        return _outcome(result, condition, self._blaster)
 
     def _solve_one_shot(self, condition: Expr, conflict_limit: int) -> SatOutcome:
-        """Fresh blaster + backend for a query the shared blaster rejects."""
+        """Fresh blaster + solver for a query the shared blaster rejects."""
         blaster = BitBlaster()
         bit = blaster.blast(condition)[0]  # a BlastError here is genuine
         if isinstance(bit, bool):
-            return self._constant_outcome(bit, condition)
+            return _constant_outcome(bit, condition)
         blaster.assert_bit(bit, True)
-        backend = make_backend(self.backend_name)
-        backend.ensure_vars(blaster.cnf.num_vars)
+        solver = Solver()
+        solver.ensure_vars(blaster.cnf.num_vars)
         for clause in blaster.cnf.clauses:
-            backend.add_clause(clause)
-        result = backend.solve(max_conflicts=conflict_limit)
-        for name, stats in backend.statistics_by_name().items():
-            self._one_shot_stats.setdefault(name, BackendStatistics()).merge(stats)
-        return self._outcome(result, condition, blaster)
+            solver.add_clause(clause)
+        result = self._timed_solve(solver, (), conflict_limit)
+        return _outcome(result, condition, blaster)
 
-    def _constant_outcome(self, bit: bool, condition: Expr) -> SatOutcome:
-        """Outcome for a condition the blaster folded to a constant."""
-        if not bit:
-            return SatOutcome(Status.UNSAT, backend=self.backend.name)
-        # Constant-true condition: any assignment works.
+    def _timed_solve(self, solver: Solver, assumptions, conflict_limit: int) -> Result:
+        learned_before = solver.learned_clauses
+        started = time.perf_counter()
+        result = solver.solve(assumptions=assumptions, max_conflicts=conflict_limit)
+        self.statistics.record(
+            result, time.perf_counter() - started, solver.learned_clauses - learned_before
+        )
+        return result
+
+
+def _constant_outcome(bit: bool, condition: Expr) -> SatOutcome:
+    """Outcome for a condition the blaster folded to a constant."""
+    if not bit:
+        return SatOutcome(Status.UNSAT)
+    # Constant-true condition: any assignment works.
+    return SatOutcome(Status.SAT, witness={path: 0 for path in _field_paths(condition)})
+
+
+def _outcome(result: Result, condition: Expr, blaster: BitBlaster) -> SatOutcome:
+    if result.status is Status.SAT:
+        full = blaster.field_assignment(result.model)
         return SatOutcome(
             Status.SAT,
-            witness={path: 0 for path in _field_paths(condition)},
-            backend=self.backend.name,
+            witness={path: full.get(path, 0) for path in _field_paths(condition)},
+            conflicts=result.conflicts,
         )
-
-    def _outcome(self, result, condition: Expr, blaster: BitBlaster) -> SatOutcome:
-        if result.status is Status.SAT:
-            full = blaster.field_assignment(result.model)
-            paths = _field_paths(condition)
-            return SatOutcome(
-                Status.SAT,
-                witness={path: full.get(path, 0) for path in paths},
-                conflicts=result.conflicts,
-                backend=self.backend.name,
-            )
-        return SatOutcome(
-            result.status, conflicts=result.conflicts, backend=self.backend.name
-        )
+    return SatOutcome(result.status, conflicts=result.conflicts)
 
 
 def _field_paths(expr: Expr) -> list[str]:

@@ -154,11 +154,6 @@ class EquivalenceOptions:
     sat_truth_cost_budget: int = 20000
     sat_conflict_limit: int = 5000
     random_seed: int = 0x0C0DE
-    #: Which solver backend decides blasted queries: "cdcl" (incremental,
-    #: clause-learning — the default), "dpll" (the chronological reference
-    #: solver), or "portfolio" (races both per query).  See
-    #: :mod:`repro.solver.backends` and ``docs/SOLVER.md``.
-    backend: str = "cdcl"
     #: When set, equivalence verdicts are shared across checkers *and*
     #: processes through an append-only JSONL cache at this path (the §3.3
     #: query-cache optimisation at campaign scale; see
@@ -182,6 +177,9 @@ _CHEAP_METHODS = frozenset({"syntactic", "disjoint-fields", "width-mismatch"})
 #: 2 = interned-node digest keys and digest-seeded sampling (PR 2);
 #: 3 = backend-aware namespaces, persisted satisfiability verdicts, and the
 #: SAT-before-exhaustive truth path (PR 4).
+#: Dropping the selectable solvers kept version 3: proved-verdict keys are
+#: unchanged, and "sat-timeout" verdicts moved from a solver-qualified
+#: namespace into the one namespace.
 CACHE_SCHEMA_VERSION = 3
 
 
@@ -197,11 +195,10 @@ class EquivalenceChecker:
         self.simplify_options = simplify_options
         self.cache = QueryCache()
         self.statistics = SolverStatistics()
-        #: Every blasted query runs through one incremental engine: one
-        #: backend instance (learned clauses persist across queries), one
-        #: shared bit-blaster, one digest-keyed query batch.
+        #: Every blasted query runs through one incremental engine: one CDCL
+        #: solver (learned clauses persist across queries), one shared
+        #: bit-blaster, one digest-keyed query batch.
         self.engine = ValidationEngine(
-            backend=options.backend,
             conflict_limit=options.sat_conflict_limit,
             use_batch=options.use_cache,
         )
@@ -218,13 +215,9 @@ class EquivalenceChecker:
             # Verdicts are only valid under the options that produced them
             # (sampling depth, SAT budgets, ...), so checkers with different
             # options must not share entries even when they share the file.
-            # Two namespaces: *proved* verdicts are backend-independent (any
-            # correct backend returns the same SAT/UNSAT answer), so they
-            # live in the neutral namespace and are shared across backends;
-            # budget-limited verdicts ("sat-timeout", unproven
-            # satisfiability) can legitimately differ per backend and are
-            # quarantined in a backend-qualified namespace.
-            self._ns_neutral = ":".join(
+            # The namespace folds in the conflict budget, so a budget-limited
+            # "sat-timeout" verdict is only replayed under the same budget.
+            self._namespace = ":".join(
                 str(value)
                 for value in (
                     CACHE_SCHEMA_VERSION,
@@ -237,7 +230,6 @@ class EquivalenceChecker:
                     options.random_seed,
                 )
             )
-            self._ns_backend = self._ns_neutral + ":" + options.backend
 
     # -- public API ------------------------------------------------------------
 
@@ -285,12 +277,10 @@ class EquivalenceChecker:
 
         pair_key = None
         if self.persistent_cache is not None:
-            pair_key = self._query_key(left_simplified, right_simplified)
-            # Proved verdicts live in the backend-neutral namespace (shared
-            # across backends); budget-limited ones are backend-qualified.
-            payload = self.persistent_cache.get(self._ns_neutral + "##" + pair_key)
-            if payload is None:
-                payload = self.persistent_cache.get(self._ns_backend + "##" + pair_key)
+            pair_key = self._namespace + "##" + self._query_key(
+                left_simplified, right_simplified
+            )
+            payload = self.persistent_cache.get(pair_key)
             if payload is not None:
                 self.statistics.persistent_cache_hits += 1
                 result = _result_from_payload(payload)
@@ -303,12 +293,7 @@ class EquivalenceChecker:
         if pair_key is not None and result.method not in _CHEAP_METHODS:
             # Trivially recomputable verdicts are not worth a locked append
             # and a cache line carrying both expression digests.
-            namespace = (
-                self._ns_backend if result.method == "sat-timeout" else self._ns_neutral
-            )
-            self.persistent_cache.put(
-                namespace + "##" + pair_key, _result_to_payload(result)
-            )
+            self.persistent_cache.put(pair_key, _result_to_payload(result))
         if self.options.use_cache:
             self.cache.put(left_simplified, right_simplified, result)
         return result
@@ -372,9 +357,8 @@ class EquivalenceChecker:
 
         persistent_key = None
         if self.persistent_cache is not None:
-            # Only proved verdicts are stored, and proved verdicts are
-            # backend-independent, so one neutral-namespace key suffices.
-            persistent_key = self._ns_neutral + "##sat##" + condition.digest
+            # Only proved verdicts are stored.
+            persistent_key = self._namespace + "##sat##" + condition.digest
             payload = self.persistent_cache.get(persistent_key)
             if payload is not None:
                 self.statistics.persistent_cache_hits += 1
@@ -403,7 +387,7 @@ class EquivalenceChecker:
             return (True, witness), True
 
         # SAT next: a single condition propagates well (unlike an
-        # equivalence miter), so the backend routinely beats exhaustive
+        # equivalence miter), so the solver routinely beats exhaustive
         # enumeration by orders of magnitude — hence the larger budget.
         if estimate_blast_cost(condition) <= self.options.sat_truth_cost_budget:
             try:
@@ -598,9 +582,9 @@ class EquivalenceChecker:
 
     # -- statistics plumbing ------------------------------------------------------------
 
-    def backend_statistics(self) -> dict[str, dict]:
-        """Per-backend counters (queries, verdicts, conflicts, learned, time)."""
-        return self.engine.backend_snapshot()
+    def sat_counters(self) -> dict[str, dict]:
+        """Solver counters (queries, verdicts, conflicts, learned, time) by solver name."""
+        return self.engine.sat_counters()
 
 
 def _result_to_payload(result: EquivalenceResult) -> dict:

@@ -16,8 +16,8 @@ equivalence queries the CP rewrite algorithm produces for checks over a few
 The solver is *incremental*: clauses may be added between :meth:`Solver.solve`
 calls, learned clauses and level-0 assignments persist across calls, and
 assumption literals scope a query to one candidate without constraining the
-next.  The backend layer (:mod:`repro.solver.backends`) builds on exactly this
-contract; see ``docs/SOLVER.md`` for the semantics.
+next.  The validation engine (:mod:`repro.solver.engine`) builds on exactly
+this contract; see ``docs/SOLVER.md`` for the semantics.
 
 Literal encoding: variables are positive integers ``1..n``; a literal is
 ``+v`` or ``-v`` (DIMACS convention).  :meth:`Solver.solve` returns a

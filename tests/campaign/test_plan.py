@@ -116,6 +116,15 @@ def test_unknown_inputs_are_rejected():
         expand_plan(cases=["wireshark-dcp"], donors=["feh"])
 
 
+def test_a_solver_backend_override_is_an_unknown_key():
+    # There is one SAT solver: a plan that still names a backend must fail
+    # loudly at expansion rather than run under a solver it did not ask for.
+    with pytest.raises(PlanError, match="backend"):
+        expand_plan(cases=["dillo-png"], variants={"dpll": {"backend": "dpll"}})
+    with pytest.raises(PlanError, match="backend"):
+        JobSpec(case_id="dillo-png", donor="feh", overrides=(("backend", "cdcl"),)).build_options()
+
+
 def test_donor_filter_must_not_silently_drop_a_requested_case():
     # feh donates to cwebp-jpegdec but not to gif2tiff-lzw: naming both cases
     # explicitly must fail loudly rather than quietly shrinking the plan.

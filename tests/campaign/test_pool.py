@@ -47,6 +47,27 @@ def hang_target_runner(payload: dict, cache_path: str) -> dict:
     return result
 
 
+def hang_later_worker_runner(payload: dict, cache_path: str) -> dict:
+    """The later-forked of the two workers hangs in its first job.
+
+    Workers are named in fork order (``Process-N:1``, ``Process-N:2``).
+    The earlier one waits until the later one has hung before it runs
+    anything, so each worker holds a job whichever asks first.
+    """
+    hung = Path(cache_path).parent / "hung"
+    if multiprocessing.current_process().name.endswith(":2"):
+        result = ok_runner(payload, cache_path)
+        hung.write_text(str(os.getpid()))
+        time.sleep(30)
+        return result
+    deadline = time.monotonic() + 10
+    while not hung.exists():
+        if time.monotonic() > deadline:
+            raise RuntimeError("the later-forked worker never took a job")
+        time.sleep(0.01)
+    return ok_runner(payload, cache_path)
+
+
 def late_doorbell_runner(payload: dict, cache_path: str) -> dict:
     """The target's first attempt hangs; its retry starts once the forged
     payload of the first attempt has been discarded."""
@@ -211,11 +232,11 @@ def test_the_pool_runs_under_spawn(plan, store):
     assert 1 <= len(pids) <= 2
 
 
-def test_workers_exit_when_the_scheduler_is_killed(plan, store):
-    target = plan.jobs[0].job_id
-    (store.directory / "target").write_text(target)
+def _kill_campaign_and_await_idle_exit(store, plan, runner, hung_pid) -> None:
+    """Run ``runner``'s campaign in a child, SIGKILL it once every job has
+    started, and require the worker that is not hung to exit on its own."""
     child = multiprocessing.get_context("fork").Process(
-        target=_campaign, args=(str(store.directory), hang_target_runner)
+        target=_campaign, args=(str(store.directory), runner)
     )
     child.start()
     deadline = time.monotonic() + 20
@@ -225,9 +246,8 @@ def test_workers_exit_when_the_scheduler_is_killed(plan, store):
     os.kill(child.pid, signal.SIGKILL)
     child.join(timeout=5)
 
-    runs = _pids_by_job(store)
-    (hung,) = runs[target]
-    (idle,) = {pid for job_id, pids in runs.items() if job_id != target for pid in pids}
+    hung = hung_pid()
+    (idle,) = {pid for pids in _pids_by_job(store).values() for pid in pids} - {hung}
     try:
         # The idle worker notices its engine is gone and exits on its own.
         deadline = time.monotonic() + 10
@@ -240,3 +260,22 @@ def test_workers_exit_when_the_scheduler_is_killed(plan, store):
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+def test_workers_exit_when_the_scheduler_is_killed(plan, store):
+    target = plan.jobs[0].job_id
+    (store.directory / "target").write_text(target)
+    _kill_campaign_and_await_idle_exit(
+        store, plan, hang_target_runner, lambda: _pids_by_job(store)[target][0]
+    )
+
+
+def test_an_earlier_forked_worker_exits_when_the_scheduler_is_killed(plan, store):
+    """The later sibling holds the engine's end of the earlier worker's
+    parent-sentinel pipe; the earlier worker must still see the engine die."""
+    _kill_campaign_and_await_idle_exit(
+        store,
+        plan,
+        hang_later_worker_runner,
+        lambda: int((store.directory / "hung").read_text()),
+    )

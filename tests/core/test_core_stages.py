@@ -3,8 +3,8 @@
 import pytest
 
 from repro.apps import get_application
+from repro.api import RepairRequest, repair
 from repro.core import (
-    CodePhage,
     Rewriter,
     build_patch,
     discover_candidate_checks,
@@ -278,10 +278,9 @@ class TestReporting:
     def test_round_trip_save_load(self, tmp_path):
         from repro.core.reporting import ResultsDatabase
 
-        phage = CodePhage()
-        outcome = phage.transfer(
-            CASE.application(), CASE.target(), get_application("mtpaint"), SEED, ERROR, "jpeg"
-        )
+        outcome = repair(
+            RepairRequest(CASE.application(), CASE.target(), SEED, ERROR, "jpeg", donor="mtpaint")
+        ).outcome
         database = ResultsDatabase()
         database.add(outcome)
         path = tmp_path / "results.json"

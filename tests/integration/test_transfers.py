@@ -9,8 +9,7 @@ validation machinery.
 
 import pytest
 
-from repro.apps import get_application
-from repro.core import CodePhage, CodePhageOptions
+from repro.api import CodePhageOptions, RepairRequest, RepairSession
 from repro.core.patch import PatchStrategy
 from repro.experiments import ERROR_CASES, Figure8Row, run_row
 from repro.formats import get_format
@@ -68,27 +67,21 @@ def test_gif2tiff_patch_enforces_the_specification_limit():
     assert "datasize" in patch.condition_source
 
 
+def _run(case_id: str, options=None, **fields):
+    """Repair one paper case through the facade; fields refine the request."""
+    case = ERROR_CASES[case_id]
+    return RepairSession(options=options).run(RepairRequest.for_case(case, **fields))
+
+
 def test_repair_tries_donors_until_one_validates():
-    case = ERROR_CASES["cwebp-jpegdec"]
-    phage = CodePhage()
-    outcome = phage.repair(
-        case.application(), case.target(), case.seed_input(), case.error_input(), "jpeg"
-    )
+    outcome = _run("cwebp-jpegdec").outcome
     assert outcome.success
     assert outcome.donor in ("feh-2.9.3", "mtpaint-3.40", "viewnior-1.4")
 
 
 def test_unstable_point_filter_can_be_disabled():
-    case = ERROR_CASES["dillo-png"]
     options = CodePhageOptions(filter_unstable_points=False)
-    outcome = CodePhage(options).transfer(
-        case.application(),
-        case.target(),
-        get_application("feh"),
-        case.seed_input(),
-        case.error_input(),
-        "png",
-    )
+    outcome = _run("dillo-png", options, donor="feh").outcome
     # Even without the filter the pipeline validates a patch (stable points
     # are still preferred because patches are sorted by size).
     assert outcome.success
@@ -97,14 +90,7 @@ def test_unstable_point_filter_can_be_disabled():
 def test_return_zero_strategy_for_divide_by_zero():
     case = ERROR_CASES["wireshark-dcp"]
     options = CodePhageOptions(patch_strategy=PatchStrategy.RETURN_ZERO)
-    outcome = CodePhage(options).transfer(
-        case.application(),
-        case.target(),
-        get_application("wireshark-1.8.6"),
-        case.seed_input(),
-        case.error_input(),
-        "dcp",
-    )
+    outcome = _run("wireshark-dcp", options, donor="wireshark-1.8.6").outcome
     assert outcome.success
     fmt = get_format("dcp")
     patched = compile_program(outcome.patched_source, name="wireshark-patched")
@@ -119,12 +105,6 @@ def test_discovered_inputs_also_drive_transfers():
     error_input = discover_error_input("cwebp-jpegdec")
     assert error_input is not None
     case = ERROR_CASES["cwebp-jpegdec"]
-    outcome = CodePhage().transfer(
-        case.application(),
-        case.target(),
-        get_application("feh"),
-        case.seed_input(),
-        error_input,
-        "jpeg",
-    )
-    assert outcome.success
+    request = RepairRequest.for_case(case, donor="feh")
+    request.error_input = error_input
+    assert RepairSession().run(request).success

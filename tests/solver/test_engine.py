@@ -1,9 +1,12 @@
 """ValidationEngine and QueryBatch: incremental solving, dedupe, namespacing."""
 
-import pytest
-
 from repro.solver import EquivalenceChecker, EquivalenceOptions, Verdict
-from repro.solver.engine import QueryBatch, ValidationEngine
+from repro.solver.engine import (
+    QueryBatch,
+    ValidationEngine,
+    diff_snapshots,
+    merge_snapshots,
+)
 from repro.solver.equivalence import CACHE_SCHEMA_VERSION
 from repro.solver.sat import Status
 from repro.symbolic import builder, evaluate
@@ -47,15 +50,10 @@ class TestValidationEngine:
         engine = ValidationEngine()
         condition = builder.ugt(builder.add(A8, B8), 40)
         first = engine.check_sat(condition)
-        queries_after_first = sum(
-            stats.queries for stats in engine.statistics_by_name().values()
-        )
+        queries_after_first = engine.statistics.queries
         second = engine.check_sat(condition)
-        queries_after_second = sum(
-            stats.queries for stats in engine.statistics_by_name().values()
-        )
         assert first.status == second.status
-        assert queries_after_second == queries_after_first  # no new solver work
+        assert engine.statistics.queries == queries_after_first  # no new solver work
         assert engine.batch.hits == 1
 
     def test_queries_share_one_incremental_solver(self):
@@ -125,33 +123,46 @@ class TestValidationEngine:
         engine.check_sat(condition)
         assert engine.batch.hits == 0 and len(engine.batch) == 0
 
-    def test_backend_parity_across_engines(self):
-        conditions = [
-            builder.ugt(builder.mul(A8, B8), 200),
-            builder.logical_and(builder.ugt(A8, 200), builder.ult(A8, 100)),
-            builder.eq(builder.add(A8, B8), builder.add(B8, A8)),
-        ]
-        for condition in conditions:
-            statuses = {
-                ValidationEngine(backend=name).check_sat(condition).status
-                for name in ("cdcl", "dpll", "portfolio")
-            }
-            assert len(statuses) == 1
-            assert Status.UNKNOWN not in statuses
+    def test_counters_are_filed_under_the_solver_name(self):
+        engine = ValidationEngine()
+        engine.check_sat(builder.ugt(builder.mul(A8, B8), 200))
+        (name,) = engine.sat_counters()
+        assert name == "cdcl"
+        assert engine.sat_counters()[name]["queries"] == engine.statistics.queries == 1
+
+    def test_statistics_accumulate(self):
+        engine = ValidationEngine()
+        engine.check_sat(builder.ugt(A8, 200))
+        engine.check_sat(builder.logical_and(builder.ugt(A8, 200), builder.ult(A8, 100)))
+        engine.check_sat(builder.ugt(A8, 200))  # batched: no solver work
+        stats = engine.statistics
+        assert (stats.queries, stats.sat, stats.unsat, stats.unknown) == (2, 1, 1, 0)
+        payload = stats.as_dict()
+        assert payload["queries"] == 2 and payload["time_s"] >= 0.0
 
 
-class TestCheckerBackendSelection:
-    @pytest.mark.parametrize("backend", ["cdcl", "dpll", "portfolio"])
-    def test_checker_verdicts_identical_across_backends(self, backend):
-        checker = EquivalenceChecker(options=EquivalenceOptions(backend=backend))
+class TestSnapshots:
+    def test_diff_drops_idle_solvers_and_merge_folds_deltas(self):
+        engine = ValidationEngine()
+        before = engine.sat_counters()
+        assert diff_snapshots(before, engine.sat_counters()) == {}
+        engine.check_sat(builder.ugt(builder.mul(A8, B8), 200))
+        delta = diff_snapshots(before, engine.sat_counters())
+        assert list(delta) == ["cdcl"] and delta["cdcl"]["queries"] == 1
+        total: dict = {}
+        merge_snapshots(total, delta)
+        merge_snapshots(total, delta)
+        assert total["cdcl"]["queries"] == 2
+        assert total["cdcl"]["sat"] == 2 * delta["cdcl"]["sat"]
+
+
+class TestChecker:
+    def test_checker_decides_through_the_engine(self):
+        checker = EquivalenceChecker()
         result = checker.equivalent(builder.add(A8, B8), builder.add(B8, A8))
         assert result.verdict is Verdict.EQUIVALENT
         satisfiable, witness = checker.satisfiable(builder.ugt(A8, 200))
         assert satisfiable and witness["/a"] > 200
-
-    def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            EquivalenceChecker(options=EquivalenceOptions(backend="minisat"))
 
     def test_satisfiable_verdicts_are_batched(self):
         checker = EquivalenceChecker()
@@ -163,26 +174,33 @@ class TestCheckerBackendSelection:
         assert checker.query_batch.hits > hits_before
 
 
+#: A proved verdict for ``/a + /b`` == ``/b + /a`` as the persistent cache
+#: stored it when budget-limited verdicts still lived in a solver-qualified
+#: namespace.  Proved-verdict keys did not change, so the line must still hit.
+PROVED_LINE = (
+    '{"k":"3:True:48:16:2000:20000:5000:49374##92a0a6dcd1713b91b0b8dc0e23a981b39f378146'
+    '||e1773374cc22638df61dc074bf52d3549f0ee49f","v":{"verdict":"equivalent",'
+    '"method":"exhaustive","witness":null,"samples_checked":0,"sat_conflicts":0}}\n'
+)
+
+
 class TestPersistentNamespacing:
-    def _checker(self, tmp_path, backend="cdcl", **overrides):
+    def _checker(self, tmp_path, **overrides):
         options = EquivalenceOptions(
-            persistent_cache_path=str(tmp_path / "cache.jsonl"),
-            backend=backend,
-            **overrides,
+            persistent_cache_path=str(tmp_path / "cache.jsonl"), **overrides
         )
         return EquivalenceChecker(options=options)
 
-    def test_proved_verdicts_shared_across_backends(self, tmp_path):
-        writer = self._checker(tmp_path, backend="cdcl")
-        writer.equivalent(builder.add(A8, B8), builder.add(B8, A8))  # proved
-        reader = self._checker(tmp_path, backend="dpll")
-        reader.equivalent(builder.add(A8, B8), builder.add(B8, A8))
-        assert reader.statistics.persistent_cache_hits == 1
-
     def test_namespace_carries_schema_version(self, tmp_path):
         checker = self._checker(tmp_path)
-        assert checker._ns_neutral.startswith(str(CACHE_SCHEMA_VERSION) + ":")
-        assert checker._ns_backend == checker._ns_neutral + ":cdcl"
+        assert checker._namespace.startswith(str(CACHE_SCHEMA_VERSION) + ":")
+
+    def test_a_proved_verdict_in_the_earlier_key_format_still_hits(self, tmp_path):
+        (tmp_path / "cache.jsonl").write_text(PROVED_LINE)
+        reader = self._checker(tmp_path)
+        result = reader.equivalent(builder.add(A8, B8), builder.add(B8, A8))
+        assert result.verdict is Verdict.EQUIVALENT
+        assert reader.statistics.persistent_cache_hits == 1
 
     def test_satisfiable_verdicts_persist(self, tmp_path):
         writer = self._checker(tmp_path)
@@ -192,42 +210,22 @@ class TestPersistentNamespacing:
         assert reader.satisfiable(condition) == answer
         assert reader.statistics.persistent_cache_hits == 1
 
-    def test_sat_timeout_verdicts_quarantined_per_backend(self, tmp_path):
+    def test_sat_timeout_verdicts_replay_only_under_the_same_budget(self, tmp_path):
         # A conflict budget of zero forces the blasted equivalence query to
-        # time out, producing a backend-dependent "sat-timeout" verdict.
-        # (A commuted multiplication is genuinely equivalent, so sampling
-        # cannot refute it, and the zero budget stops the UNSAT proof.)
+        # time out, producing a budget-limited "sat-timeout" verdict.  (A
+        # commuted multiplication is genuinely equivalent, so sampling cannot
+        # refute it, and the zero budget stops the UNSAT proof.)
         left = builder.mul(A8, B8)
         right = builder.mul(B8, A8)
-        writer = self._checker(
-            tmp_path,
-            backend="cdcl",
-            sample_count=0,
-            exhaustive_bit_limit=0,
-            sat_conflict_limit=0,
-            sat_cost_budget=100000,
-        )
-        result = writer.equivalent(left, right)
-        assert result.method == "sat-timeout"
-        # Same options, different backend: must not replay cdcl's timeout.
-        reader = self._checker(
-            tmp_path,
-            backend="dpll",
-            sample_count=0,
-            exhaustive_bit_limit=0,
-            sat_conflict_limit=0,
-            sat_cost_budget=100000,
-        )
-        reader.equivalent(left, right)
-        assert reader.statistics.persistent_cache_hits == 0
-        # But the same backend does hit its own quarantined entry.
-        replay = self._checker(
-            tmp_path,
-            backend="cdcl",
-            sample_count=0,
-            exhaustive_bit_limit=0,
-            sat_conflict_limit=0,
-            sat_cost_budget=100000,
-        )
-        replay.equivalent(left, right)
+        starved = dict(sample_count=0, exhaustive_bit_limit=0, sat_cost_budget=100000)
+        writer = self._checker(tmp_path, sat_conflict_limit=0, **starved)
+        assert writer.equivalent(left, right).method == "sat-timeout"
+        # A second checker with the same options replays the verdict...
+        replay = self._checker(tmp_path, sat_conflict_limit=0, **starved)
+        assert replay.equivalent(left, right).method == "sat-timeout"
         assert replay.statistics.persistent_cache_hits == 1
+        # ...but a checker with another budget must ask the solver itself.
+        funded = self._checker(tmp_path, sat_conflict_limit=50, **starved)
+        funded.equivalent(left, right)
+        assert funded.statistics.persistent_cache_hits == 0
+        assert funded.engine.statistics.queries == 1
