@@ -11,6 +11,10 @@ translate directly.  The two failure modes of §3.3 (bits not available
 contiguously, values overwritten before the insertion point) surface here as a
 ``None`` result for the affected subtree.
 
+Only plausible names are asked about: names are bucketed by their values on a
+fixed bank of points (:mod:`repro.solver.fingerprint`), and a subtree is
+compared only with the names in its own bucket.
+
 The rewritten expression reuses :class:`repro.symbolic.expr.InputField` leaves
 whose *path* is a recipient expression (e.g. ``dinfo.output_width``); the
 patch generator renders those leaves verbatim.
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..obs import metrics as obs_metrics
 from ..solver.equivalence import EquivalenceChecker
 from ..symbolic import builder
 from ..symbolic.expr import (
@@ -69,6 +74,7 @@ class Rewriter:
         self.checker = checker or EquivalenceChecker()
         self.statistics = RewriteStatistics()
         self._matched: list[str] = []
+        self._indexes: dict[int, dict[tuple[int, ...], list[tuple[RecipientName, Expr]]]] = {}
 
     # -- public API -----------------------------------------------------------------
 
@@ -162,23 +168,56 @@ class Rewriter:
         (a 16-bit input field is typically held in a 32-bit recipient
         variable); the query then compares against the width-adapted name —
         which is exactly the cast the generated patch will contain.
+
+        Only the names whose fingerprint equals the subtree's reach the
+        checker, in their original order.  A name that truly equals the
+        subtree agrees with it on every bank point, so it is never withheld;
+        the first accepted name is the one a scan of every name would find,
+        unless the scan's match was an unproven verdict the bank refutes.
         """
         if not expression.fields():
             # Pure-constant subtrees are better folded than matched to names.
             return None
-        for name in self.names:
-            adapted = self._adapt_name_expression(name, expression.width)
-            if adapted is None:
-                continue
-            self.statistics.solver_queries += 1
+        fingerprint = self.checker.fingerprints.of(expression)
+        candidates = self._index(expression.width).get(fingerprint, ())
+        match = None
+        sent = 0
+        for name, adapted in candidates:
+            sent += 1
             verdict = self.checker.equivalent(expression, adapted)
             if verdict.verdict.accepts:
                 self.statistics.name_matches += 1
                 self._matched.append(name.path)
-                return self._leaf_for(name, expression.width)
-        return None
+                match = self._leaf_for(name, expression.width)
+                break
+        self.statistics.solver_queries += sent
+        obs_metrics.REGISTRY.observe(
+            "rewrite.candidates_per_lookup", sent, bounds=obs_metrics.COUNT_BOUNDS
+        )
+        return match
 
-    def _adapt_name_expression(self, name: RecipientName, width: int) -> Optional[Expr]:
+    def _index(self, width: int) -> dict[tuple[int, ...], list[tuple[RecipientName, Expr]]]:
+        """The names adapted to ``width``, bucketed by fingerprint.
+
+        Built once per width for this insertion point; the adapted names and
+        their fingerprints are memoised in the checker for the session.
+        """
+        index = self._indexes.get(width)
+        if index is None:
+            fingerprints = self.checker.fingerprints
+            derived = fingerprints.derived
+            index = self._indexes[width] = {}
+            for name in self.names:
+                key = (name.expression, name.width, name.signed, width)
+                entry = derived.get(key)
+                if entry is None:
+                    adapted = self._adapt_name_expression(name, width)
+                    entry = derived[key] = (adapted, fingerprints.of(adapted))
+                index.setdefault(entry[1], []).append((name, entry[0]))
+        return index
+
+    @staticmethod
+    def _adapt_name_expression(name: RecipientName, width: int) -> Expr:
         """The recipient value's defining expression adapted to ``width``."""
         expression = name.expression
         if width == name.width:

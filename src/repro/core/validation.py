@@ -39,6 +39,8 @@ class ValidationOutcome:
     error_eliminated: bool = False
     regression_passed: bool = False
     residual_findings: list[OverflowFinding] = field(default_factory=list)
+    #: None unless the symbolic overflow check ran; then True only for a
+    #: *proved* elimination (False when a witness exists or none was proved).
     overflow_proof: Optional[bool] = None
     failure_reason: str = ""
 
@@ -156,7 +158,7 @@ def validate_patch(
         verdict = check_blocks_overflow(
             checker or EquivalenceChecker(), donor_guard, overflow_size_expr
         )
-        outcome.overflow_proof = verdict.eliminated
+        outcome.overflow_proof = verdict.eliminated and verdict.proved
 
     outcome.ok = True
     return outcome

@@ -19,7 +19,7 @@ Metric names are dotted strings; the canonical names and their units are
 documented in ``docs/OBSERVABILITY.md``.  Counters accumulate numbers (ints
 or floats), gauges keep the last set value (merge keeps the max), and
 histograms bucket observations against :data:`DEFAULT_BOUNDS` (seconds
-scale) while tracking count/sum/min/max.
+scale; :data:`COUNT_BOUNDS` for counts) while tracking count/sum/min/max.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from typing import Optional
 DEFAULT_BOUNDS: tuple[float, ...] = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0
 )
+
+#: Bucket upper bounds for histograms of small counts (names per lookup).
+COUNT_BOUNDS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64)
 
 
 class Histogram:
@@ -145,13 +148,16 @@ class MetricsRegistry:
             if value > self._gauges.get(name, float("-inf")):
                 self._gauges[name] = value
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(
+        self, name: str, value: float, bounds: tuple[float, ...] = DEFAULT_BOUNDS
+    ) -> None:
+        """Record ``value``; ``bounds`` applies when this call creates the histogram."""
         if not self._enabled:
             return
         with self._lock:
             histogram = self._histograms.get(name)
             if histogram is None:
-                histogram = self._histograms[name] = Histogram()
+                histogram = self._histograms[name] = Histogram(bounds)
             histogram.observe(value)
 
     # -- reading -----------------------------------------------------------------

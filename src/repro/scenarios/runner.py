@@ -23,14 +23,18 @@ import time
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..apps.registry import scoped_registration
 from ..campaign.plan import CampaignPlan, JobSpec, matrix_plan
 from ..campaign.scheduler import CampaignReport, CampaignScheduler, SchedulerOptions
 from ..campaign.store import RunStore
 from ..core.reporting import ResultsDatabase, TransferRecord
-from .corpus import ScenarioCorpus
+from .corpus import ScenarioCorpus, ScenarioPair
+
+if TYPE_CHECKING:
+    from ..api.facade import RepairReport
+    from ..core.pipeline import CodePhageOptions
 
 #: Manifest file name, relative to the run-store directory.
 MANIFEST_NAME = "scenarios.json"
@@ -61,6 +65,24 @@ def _load_corpus(manifest_path: str | Path) -> ScenarioCorpus:
     return corpus
 
 
+def run_pair(pair: ScenarioPair, options: CodePhageOptions) -> RepairReport:
+    """Repair one generated pair on a fresh session; returns the ``RepairReport``.
+
+    Registers exactly the pair's recipient and donor pool for the duration
+    of the repair.
+    """
+    from ..api.facade import RepairSession
+
+    # Multi-defect pairs ship decoy donors: run full donor selection over the
+    # pool so the recursive repair loop has to recover from partial fixes.
+    donor_pool = pair.donor_pool
+    with scoped_registration(pair.recipient, *donor_pool):
+        session = RepairSession(options=options)
+        if len(donor_pool) > 1:
+            return session.run_case(pair, donors=donor_pool)
+        return session.run_case(pair, donor=pair.donor)
+
+
 def matrix_job_runner(payload: dict, cache_path: Optional[str], manifest_path: str) -> dict:
     """Run one generated transfer; executed inside a worker process.
 
@@ -69,7 +91,6 @@ def matrix_job_runner(payload: dict, cache_path: Optional[str], manifest_path: s
     store's ``events/`` directory for ``codephage trace``/``bundle``) and a
     per-job metrics snapshot from a registry reset/enabled around the run.
     """
-    from ..api.facade import RepairSession
     from ..core.events import events_as_dicts
     from ..obs import metrics as obs_metrics
 
@@ -79,15 +100,7 @@ def matrix_job_runner(payload: dict, cache_path: Optional[str], manifest_path: s
     obs_metrics.REGISTRY.reset()
     obs_metrics.REGISTRY.enable()
     start = time.perf_counter()
-    # Multi-defect pairs ship decoy donors: run full donor selection over the
-    # pool so the recursive repair loop has to recover from partial fixes.
-    donor_pool = pair.donor_pool
-    with scoped_registration(pair.recipient, *donor_pool):
-        session = RepairSession(options=job.build_options(cache_path))
-        if len(donor_pool) > 1:
-            report = session.run_case(pair, donors=donor_pool)
-        else:
-            report = session.run_case(pair, donor=pair.donor)
+    report = run_pair(pair, job.build_options(cache_path))
     # An adversarial pair's registered donor is the near-miss: any success is
     # a false accept, the number the hard-matrix gate drives to zero.  The
     # counter is recorded even at zero so aggregated telemetry shows the

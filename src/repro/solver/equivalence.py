@@ -42,6 +42,7 @@ from ..symbolic.expr import Binary, Expr, InputField, Kind, Unary
 from ..symbolic.simplify import SimplifyOptions, simplify
 from .bitblast import BlastError, estimate_blast_cost
 from .engine import ValidationEngine
+from .fingerprint import Fingerprints
 
 
 class Verdict(enum.Enum):
@@ -194,6 +195,10 @@ class EquivalenceChecker:
         self.options = options
         self.simplify_options = simplify_options
         self.cache = QueryCache()
+        #: Values on the fixed point bank, for Rewrite's candidate index
+        #: (:mod:`repro.solver.fingerprint`); lives exactly as long as the
+        #: query cache.
+        self.fingerprints = Fingerprints()
         self.statistics = SolverStatistics()
         #: Every blasted query runs through one incremental engine: one CDCL
         #: solver (learned clauses persist across queries), one shared
@@ -299,14 +304,24 @@ class EquivalenceChecker:
         return result
 
     def satisfiable(self, condition: Expr) -> tuple[bool, Optional[dict[str, int]]]:
+        """``(satisfiable, witness_or_None)`` for a width-1 condition.
+
+        :meth:`satisfiability` without the proved flag.
+        """
+        satisfiable, witness, _ = self.satisfiability(condition)
+        return satisfiable, witness
+
+    def satisfiability(
+        self, condition: Expr
+    ) -> tuple[bool, Optional[dict[str, int]], bool]:
         """Decide whether a width-1 condition has a satisfying field assignment.
 
         Used by the overflow-specific validation step
         (:mod:`repro.solver.overflow`) and the DIODE rescan.  Returns
-        ``(satisfiable, witness_or_None)``; when the formula is too large for
-        SAT the answer is based on sampling and (for small domains)
-        exhaustive enumeration (a found witness is always genuine; absence
-        of a witness is then only probabilistic).
+        ``(satisfiable, witness_or_None, proved)``.  A found witness is
+        always genuine and proved.  When the formula is too large for SAT and
+        its domain too large to enumerate, "no witness" rests on sampling
+        alone and ``proved`` is False.
 
         *Proved* verdicts are memoised in the session's :class:`QueryBatch`
         (keyed by the simplified condition's digest) and, when configured,
@@ -346,18 +361,20 @@ class EquivalenceChecker:
             )
         return answer
 
-    def _satisfiable(self, condition: Expr) -> tuple[bool, Optional[dict[str, int]]]:
+    def _satisfiable(
+        self, condition: Expr
+    ) -> tuple[bool, Optional[dict[str, int]], bool]:
         self.statistics.satisfiability_queries += 1
         condition = simplify(condition, self.simplify_options)
 
+        # Both caches hold proved verdicts only.
         if self.options.use_cache:
             cached = self.query_batch.get("satisfiable", condition.digest)
             if cached is not None:
-                return cached
+                return (*cached, True)
 
         persistent_key = None
         if self.persistent_cache is not None:
-            # Only proved verdicts are stored.
             persistent_key = self._namespace + "##sat##" + condition.digest
             payload = self.persistent_cache.get(persistent_key)
             if payload is not None:
@@ -368,12 +385,12 @@ class EquivalenceChecker:
                     dict(witness) if witness is not None else None,
                 )
                 self._remember_satisfiable(condition, answer, persist=None)
-                return answer
+                return (*answer, True)
 
         answer, proved = self._decide_satisfiable(condition)
         if proved:
             self._remember_satisfiable(condition, answer, persist=persistent_key)
-        return answer
+        return (*answer, proved)
 
     def _decide_satisfiable(
         self, condition: Expr

@@ -125,7 +125,8 @@ def check_blocks_overflow(
     * satisfies every recorded path constraint leading to the overflow site,
     * and still overflows the allocation-size expression.
 
-    If no such input exists the patch provably eliminates the error.
+    If no such input exists the patch eliminates the error; ``proved`` says
+    whether the checker proved that or only failed to sample a witness.
     """
     survives_guard = builder.logical_not(builder.is_nonzero(transferred_check))
     overflow = overflow_condition(size_expr)
@@ -133,13 +134,13 @@ def check_blocks_overflow(
     conjuncts.extend(builder.is_nonzero(constraint) for constraint in path_constraints)
     query = builder.logical_and(*conjuncts)
 
-    satisfiable, witness = checker.satisfiable(query)
+    satisfiable, witness, proved = checker.satisfiability(query)
     if satisfiable:
-        return OverflowVerdict(eliminated=False, proved=True, witness=witness)
-    # Absence of a witness is definitive only for the exhaustive/SAT paths;
-    # the checker tracks that internally, but from CP's perspective the
-    # dynamic validation phase re-confirms the patch either way.
-    return OverflowVerdict(eliminated=True, proved=True)
+        return OverflowVerdict(eliminated=False, proved=proved, witness=witness)
+    # Absence of a witness is definitive only for the SAT and exhaustive
+    # rungs of the checker's ladder; after a sampling fallback the
+    # elimination is unproven, and only the dynamic validation phase backs it.
+    return OverflowVerdict(eliminated=True, proved=proved)
 
 
 def overflow_witness(

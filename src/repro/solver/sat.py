@@ -192,6 +192,13 @@ class Solver:
         self._trail.append(literal)
 
     def _unassign_to(self, level: int) -> None:
+        """Undo every assignment above decision ``level``; a no-op at or below it.
+
+        A restart right after a backjump to the assumption level lands here
+        with nothing above that level to undo.
+        """
+        if level >= len(self._trail_lim):
+            return
         target = self._trail_lim[level]
         for literal in reversed(self._trail[target:]):
             var = abs(literal)
@@ -406,7 +413,6 @@ class Solver:
                 if self._decision_level == assumption_level:
                     if assumption_level == 0:
                         self._root_conflict = True
-                    self._unassign_to(0) if self._trail_lim else None
                     self._restart()
                     return Result(Status.UNSAT, conflicts=self.conflicts)
                 learned, backjump = self._analyse(conflict)
@@ -457,8 +463,7 @@ class Solver:
 
     def _restart(self) -> None:
         """Drop all decisions (keep learned clauses and level-0 assignments)."""
-        if self._trail_lim:
-            self._unassign_to(0)
+        self._unassign_to(0)
 
 
 def solve_clauses(

@@ -38,9 +38,7 @@ from .metrics import (
 from .printer import c_type_for_width, to_c_string, to_paper_string
 from .simplify import (
     DEFAULT_OPTIONS,
-    FIGURE5_RULES,
     SimplifyOptions,
-    apply_figure5_rule,
     clear_simplify_cache,
     reset_simplify_cache_stats,
     simplify,
@@ -59,7 +57,6 @@ __all__ = [
     "ExprError",
     "Extend",
     "Extract",
-    "FIGURE5_RULES",
     "InputField",
     "Ite",
     "Kind",
@@ -67,7 +64,6 @@ __all__ = [
     "SWAPPED_COMPARISON",
     "SimplifyOptions",
     "Unary",
-    "apply_figure5_rule",
     "arithmetic_count",
     "builder",
     "c_type_for_width",

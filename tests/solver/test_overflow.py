@@ -2,11 +2,13 @@
 
 from repro.solver import (
     EquivalenceChecker,
+    EquivalenceOptions,
     check_blocks_overflow,
     overflow_condition,
     overflow_witness,
     widen,
 )
+from repro.solver.bitblast import estimate_blast_cost
 from repro.symbolic import builder, evaluate
 
 
@@ -54,6 +56,7 @@ class TestCheckBlocksOverflow:
         )
         verdict = check_blocks_overflow(checker, guard, SIZE)
         assert verdict.eliminated
+        assert verdict.proved
 
     def test_too_weak_check_does_not_eliminate(self):
         checker = EquivalenceChecker()
@@ -71,3 +74,61 @@ class TestCheckBlocksOverflow:
         )
         verdict = check_blocks_overflow(checker, guard, SIZE, path_constraints=[constraint])
         assert verdict.eliminated
+
+
+class TestOverflowProofLabel:
+    """An elimination the checker could only sample for is not labelled proved."""
+
+    W32, H32, D32 = (builder.input_field(path, 32) for path in ("/w", "/h", "/d"))
+    #: 64-bit width * height * depth: 96 free bits and a 128-bit widened
+    #: product, too wide for enumeration and for the SAT truth budget.
+    WIDE_SIZE = builder.mul(
+        builder.mul(builder.zext(W32, 64), builder.zext(H32, 64)), builder.zext(D32, 64)
+    )
+    #: Caps every factor at 16 bits, so the product never overflows 64 bits.
+    GUARD = builder.logical_or(
+        builder.ugt(W32, 0xFFFF), builder.ugt(H32, 0xFFFF), builder.ugt(D32, 0xFFFF)
+    )
+
+    def test_condition_is_too_wide_for_sat_and_enumeration(self):
+        options = EquivalenceOptions()
+        assert estimate_blast_cost(overflow_condition(self.WIDE_SIZE)) > (
+            options.sat_truth_cost_budget
+        )
+        assert 3 * 32 > options.exhaustive_bit_limit
+
+    def test_sampled_elimination_is_unproven(self):
+        checker = EquivalenceChecker()
+        verdict = check_blocks_overflow(checker, self.GUARD, self.WIDE_SIZE)
+        assert verdict.eliminated
+        assert not verdict.proved
+        assert checker.statistics.sampling_fallbacks == 1
+        # Not cached either: a later ask reruns the ladder.
+        again = check_blocks_overflow(checker, self.GUARD, self.WIDE_SIZE)
+        assert (again.eliminated, again.proved) == (True, False)
+        assert checker.statistics.sampling_fallbacks == 2
+
+    def test_validation_reports_proof_only_for_a_proved_elimination(self):
+        from repro.api import RepairRequest, RepairSession
+        from repro.apps import get_application
+        from repro.core import ValidationOptions
+        from repro.core.pipeline import CodePhageOptions
+        from repro.experiments import ERROR_CASES
+
+        def overflow_proofs(equivalence: EquivalenceOptions) -> list:
+            options = CodePhageOptions(
+                validation=ValidationOptions(symbolic_overflow_check=True),
+                equivalence_options=equivalence,
+            )
+            report = RepairSession(options=options).run(
+                RepairRequest.for_case(
+                    ERROR_CASES["cwebp-jpegdec"], donor=get_application("feh")
+                )
+            )
+            assert report.success
+            return [check.validation.overflow_proof for check in report.outcome.checks]
+
+        assert overflow_proofs(EquivalenceOptions()) == [True]
+        # No SAT budget and no enumeration: the same elimination is unproven.
+        starved = EquivalenceOptions(sat_truth_cost_budget=0, exhaustive_bit_limit=0)
+        assert overflow_proofs(starved) == [False]

@@ -65,6 +65,23 @@ class TestBasics:
         solver2.add_clause([-2])
         assert solver2.solve(assumptions=[-1]).is_unsat
 
+    def test_restart_right_after_a_backjump_to_the_assumption_level(self):
+        # Under assumption a (var 1) each x_i must be true.  Deciding x_i
+        # false (negative polarity first) conflicts at once, and the learned
+        # clause (-a | x_i) backjumps to the assumption level; the 101st such
+        # conflict triggers the first restart from exactly that level.
+        gadgets = 150
+        solver = Solver()
+        solver.ensure_vars(2 * gadgets + 1)
+        for index in range(gadgets):
+            x, y = 2 + index, 2 + gadgets + index
+            solver.add_clause([-1, x, y])
+            solver.add_clause([-1, x, -y])
+        result = solver.solve(assumptions=[1])
+        assert result.is_sat
+        assert result.conflicts > 100
+        assert all(result.model[2 + index] for index in range(gadgets))
+
     def test_conflict_limit_returns_unknown_or_decides(self):
         clauses = [[1, 2, 3], [-1, -2], [-2, -3], [-1, -3], [1], [2]]
         result = solve_clauses(clauses, max_conflicts=0)

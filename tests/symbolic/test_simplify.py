@@ -4,11 +4,11 @@ from repro.symbolic import (
     Constant,
     InputField,
     SimplifyOptions,
-    apply_figure5_rule,
     builder,
     operation_count,
     simplify,
 )
+from figure5_rules import apply_figure5_rule
 
 
 W = builder.input_field("/sof/width", 16)
