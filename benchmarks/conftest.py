@@ -2,40 +2,18 @@
 
 The full Figure 8 table is expensive to regenerate, so it is computed once per
 benchmark session and shared by the benches that report on it.
-
-:func:`write_benchmark_summary` is the one path every bench's JSON output
-goes through: it emits the shared benchmark-summary schema
-(:mod:`repro.obs.ledger` — name, wall-ms breakdown, counters) that the
-perf-trajectory ledger ingests and ``tools/check_perf.py`` gates CI on.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Optional
 
 import pytest
 
 from repro.core.reporting import ResultsDatabase
 from repro.experiments import FIGURE8_ROWS, run_row
-from repro.obs import ledger
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-
-def write_benchmark_summary(
-    name: str,
-    wall_ms: dict[str, float],
-    counters: Optional[dict[str, float]] = None,
-    extra: Optional[dict] = None,
-) -> Path:
-    """Write one shared-schema benchmark summary to ``results/<name>.json``."""
-    summary = ledger.make_summary(name, wall_ms, counters=counters, extra=extra)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / f"{name}.json"
-    out.write_text(json.dumps(summary, indent=2) + "\n")
-    return out
 
 
 @pytest.fixture(scope="session")

@@ -64,7 +64,6 @@ from .experiments import ERROR_CASES, discover_error_input
 from .formats import all_formats
 from .formats.fields import FormatError
 from .lang.trace import ErrorKind
-from .lang.vm import set_default_execution_tier
 from .obs import (
     BundleError,
     TraceObserver,
@@ -511,12 +510,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="with --trace, write Chrome trace_event JSON instead of span JSONL",
     )
-    transfer.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="run MicroC on the tree-walking interpreter instead of the "
-        "compiled bytecode tier",
-    )
 
     def add_campaign_arguments(command: argparse.ArgumentParser, default_store: str) -> None:
         command.add_argument("--out", default=None, help="write the rendered table here")
@@ -546,12 +539,6 @@ def main(argv: list[str] | None = None) -> int:
             "--no-cache",
             action="store_true",
             help="disable the persistent cross-process solver cache",
-        )
-        command.add_argument(
-            "--no-compile",
-            action="store_true",
-            help="run MicroC on the tree-walking interpreter instead of the "
-            "compiled bytecode tier",
         )
         # Campaigns resume by default: completed jobs in the store are
         # skipped, so re-running an interrupted command picks up where it
@@ -698,11 +685,6 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if getattr(args, "no_compile", False):
-        # Flip the process-wide default so every VM in this run (including
-        # fork-started campaign workers, which inherit it) uses the
-        # interpreter tier.
-        set_default_execution_tier(False)
     handlers = {
         "list": _cmd_list,
         "transfer": _cmd_transfer,

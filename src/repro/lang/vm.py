@@ -87,9 +87,10 @@ class _ErrorSignal(Exception):
         self.report = report
 
 
-# Process-wide default for VMConfig.use_compiled, so one switch (the CLI's
-# --no-compile flag) reaches every config constructed afterwards, including in
-# fork-started campaign workers which inherit the flag with the address space.
+# Process-wide default for VMConfig.use_compiled, so one switch
+# (repro.api.set_default_execution_tier) reaches every config constructed
+# afterwards, including in fork-started campaign workers which inherit the
+# flag with the address space.
 _COMPILED_TIER_DEFAULT = True
 
 

@@ -1,6 +1,6 @@
 """``repro.obs`` — the unified telemetry layer.
 
-One observability surface over the whole pipeline, in four parts:
+One observability surface over the whole pipeline, in three parts:
 
 * :mod:`~repro.obs.tracing` — hierarchical spans (transfer > donor attempt >
   stage > solver query), fed by the typed event stream plus instrumentation
@@ -12,12 +12,9 @@ One observability surface over the whole pipeline, in four parts:
   campaign workers through the run store.
 * :mod:`~repro.obs.bundle` / :mod:`~repro.obs.schema` — versioned,
   validator-backed repair evidence bundles (``codephage bundle <job-id>``).
-* :mod:`~repro.obs.ledger` — the committed perf-trajectory ledger
-  (``benchmarks/trajectory.json``) that ``tools/check_perf.py`` appends
-  benchmark summaries to and gates CI against.
 
 See ``docs/OBSERVABILITY.md`` for the span model, metric names, bundle
-schema versions, and the ledger workflow.
+schema versions, and how to make a perf claim.
 """
 
 from .bundle import (
@@ -27,20 +24,6 @@ from .bundle import (
     bundle_from_store,
     load_bundle,
     write_bundle,
-)
-from .ledger import (
-    DEFAULT_LEDGER,
-    GATED_COUNTERS,
-    LedgerError,
-    Regression,
-    append_entry,
-    baseline_entry,
-    check_results,
-    compare_entries,
-    entry_from_summaries,
-    load_ledger,
-    load_summaries,
-    make_summary,
 )
 from .metrics import REGISTRY, MetricsEventObserver, MetricsRegistry
 from .schema import (
@@ -63,32 +46,20 @@ from .tracing import (
 __all__ = [
     "BUNDLE_SCHEMA",
     "BundleError",
-    "DEFAULT_LEDGER",
-    "GATED_COUNTERS",
     "LATEST_SCHEMA_VERSION",
-    "LedgerError",
     "MetricsEventObserver",
     "MetricsRegistry",
     "REGISTRY",
-    "Regression",
     "SCHEMA_VERSIONS",
     "SchemaError",
     "SpanRecord",
     "TraceObserver",
     "Tracer",
-    "append_entry",
-    "baseline_entry",
     "build_bundle",
     "bundle_from_report",
     "bundle_from_store",
-    "check_results",
-    "compare_entries",
     "ensure_valid_bundle",
-    "entry_from_summaries",
     "load_bundle",
-    "load_ledger",
-    "load_summaries",
-    "make_summary",
     "spans_from_events",
     "trace_session",
     "tracer_from_events",

@@ -1,14 +1,20 @@
-"""End-to-end campaign runs with real transfers (one error case, 3 donors).
+"""End-to-end campaign runs with real transfers.
 
-Kept to a single case so the tier-1 suite stays fast; the full Figure-8
-campaign is exercised by ``benchmarks/bench_campaign_scaling.py``.
+The first test runs one error case with 3 donors against direct repairs;
+the second runs the full Figure 8 plan serial, parallel, and warm.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.campaign import CampaignScheduler, RunStore, SchedulerOptions, expand_plan
+from repro.campaign import (
+    CampaignScheduler,
+    RunStore,
+    SchedulerOptions,
+    expand_plan,
+    figure8_plan,
+)
 from repro.core.reporting import ResultsDatabase
 from repro.experiments import Figure8Row, run_row
 
@@ -55,3 +61,31 @@ def test_parallel_campaign_matches_serial_run_and_warm_cache_hits(tmp_path):
     assert [_normalise(r) for r in warm_db.records] == [
         _normalise(r) for r in serial.records
     ]
+
+
+def test_full_figure8_campaign_parallel_equals_serial_and_warm_cache_saves_work(tmp_path):
+    plan = figure8_plan()
+    serial_store = RunStore(tmp_path / "serial")
+    serial_store.initialise(plan)
+    cold = CampaignScheduler(
+        plan, serial_store, SchedulerOptions(jobs=1, start_method="fork")
+    ).run()
+    parallel_store = RunStore(tmp_path / "parallel")
+    parallel_store.initialise(plan)
+    parallel = CampaignScheduler(
+        plan, parallel_store, SchedulerOptions(jobs=2, start_method="fork")
+    ).run()
+    assert cold.completed == parallel.completed == len(plan)
+    assert [_normalise(r) for r in parallel_store.merge_into_database(plan).records] == [
+        _normalise(r) for r in serial_store.merge_into_database(plan).records
+    ]
+
+    # A warm re-run answers from the persistent cache what the cold run had
+    # to send to the expensive decision procedures.
+    serial_store.initialise(plan, fresh=True)
+    warm = CampaignScheduler(
+        plan, serial_store, SchedulerOptions(jobs=1, start_method="fork")
+    ).run()
+    assert cold.expensive_queries > 0
+    assert warm.expensive_queries < cold.expensive_queries
+    assert warm.persistent_cache_hits > cold.persistent_cache_hits

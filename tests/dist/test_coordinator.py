@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from dataclasses import asdict
@@ -65,6 +66,19 @@ def flaky_runner(payload: dict, cache_spec) -> dict:
 
 def slow_runner(payload: dict, cache_spec) -> dict:
     time.sleep(0.05)
+    return ok_runner(payload, cache_spec)
+
+
+#: Set before the nodes fork; each node process waits on it in its first job.
+_RENDEZVOUS = None
+
+
+def rendezvous_runner(payload: dict, cache_spec) -> dict:
+    """A node's first job waits until every node is inside its first job."""
+    global _RENDEZVOUS
+    if _RENDEZVOUS is not None:
+        barrier, _RENDEZVOUS = _RENDEZVOUS, None
+        barrier.wait(timeout=60)
     return ok_runner(payload, cache_spec)
 
 
@@ -267,3 +281,29 @@ def test_per_node_gauges_present(plan, store):
         for node_id in ("node-0", "node-1")
     )
     assert completed == len(plan)
+
+
+def test_four_nodes_hold_jobs_at_the_same_time(plan, store):
+    """Four nodes run in parallel: no wall clock, a barrier only four jobs pass.
+
+    Each node's first job waits at a four-party barrier, so the campaign
+    completes only if the coordinator hands four jobs to four nodes at
+    once; a control plane that serialised nodes would break the barrier,
+    and with no retries that fails the job.
+    """
+    global _RENDEZVOUS
+    assert len(plan) >= 4
+    _RENDEZVOUS = multiprocessing.get_context("fork").Barrier(4)
+    try:
+        report = DistributedCoordinator(
+            plan, store, _options(nodes=4, retries=0), runner=rendezvous_runner
+        ).run()
+    finally:
+        _RENDEZVOUS = None
+    assert report.completed == len(plan)
+    assert not report.failed
+    assert len(list(store.attempts())) == len(plan)
+    gauges = report.metrics["gauges"]
+    settled = [gauges[f"dist.node.node-{index}.jobs_completed"] for index in range(4)]
+    assert all(count >= 1 for count in settled), settled
+    assert sum(settled) == len(plan)

@@ -6,7 +6,13 @@ import pytest
 
 from repro.campaign import PlanError, SchedulerOptions, matrix_plan
 from repro.lang.trace import ErrorKind
-from repro.scenarios import corpus_plan, generate_corpus, run_matrix
+from repro.scenarios import (
+    HARDNESS_DIMENSIONS,
+    CorpusConfig,
+    corpus_plan,
+    generate_corpus,
+    run_matrix,
+)
 
 
 class TestMatrixPlan:
@@ -90,3 +96,24 @@ class TestMatrixCampaign:
         corpus, _, _, database = matrix_run
         recipients = {record.recipient for record in database.records}
         assert recipients == {pair.recipient.full_name for pair in corpus}
+
+
+def test_hard_matrix_validates_every_dimension_but_the_near_misses(tmp_path):
+    """One pair per class and hardness dimension: the per-dimension table."""
+    corpus = generate_corpus(
+        CorpusConfig(seed=0, pairs_per_class=1, hardness=HARDNESS_DIMENSIONS)
+    )
+    report, _ = run_matrix(
+        corpus, tmp_path / "run", options=SchedulerOptions(jobs=2, start_method="fork")
+    )
+    assert report.completed == len(corpus)
+    assert not report.failed
+    rates = report.class_success_rates()
+    for dimension in HARDNESS_DIMENSIONS:
+        name = f"hardness:{dimension}"
+        assert report.class_stats[name]["jobs"] == len(ErrorKind), name
+        # Off the adversarial dimension every transfer validates; on it the
+        # registered donor is the near miss, so none may.
+        expected = 0.0 if dimension == "adversarial" else 1.0
+        assert rates[name] == expected, f"{name}: success rate {rates[name]:.0%}"
+    assert report.false_accept_rate() == 0.0
