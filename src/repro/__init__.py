@@ -22,7 +22,7 @@ Subpackages
     DIODE-style integer-overflow discovery and a mutational fuzzer.
 ``repro.core``
     The Code Phage pipeline itself (the paper's contribution): the
-    stage-graph engine, the event stream, and the per-stage algorithms.
+    transfer engine, the event stream, and the per-stage algorithms.
 ``repro.api``
     The public repair surface: ``RepairRequest`` -> ``RepairReport``.
 ``repro.campaign``

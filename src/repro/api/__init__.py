@@ -6,12 +6,10 @@ cache), and read the :class:`RepairReport` — the
 :class:`~repro.core.pipeline.TransferOutcome` plus the typed
 :class:`~repro.core.events.PipelineEvent` stream that produced it.
 
-The stage-graph machinery behind the facade (stages, contracts, search
-policies, the engine) is re-exported here for extension: register an
-observer for progress/metrics, pick a :class:`SearchPolicy` by name
-(``"first-validated"``, ``"smallest-patch"``, ``"all-donors"``), or add a
-new policy against :class:`TransferEngine`.  This is the only entry point
-into a repair.
+Behind the facade, :class:`TransferEngine` runs the paper's Figure 4
+pipeline in order and accepts the first patch that validates; register an
+observer on a session to follow its stages for progress or metrics.  This
+is the only entry point into a repair.
 """
 
 from ..core.events import (
@@ -28,34 +26,18 @@ from ..core.events import (
     StageTimingObserver,
 )
 from ..core.pipeline import CodePhageOptions, TransferMetrics, TransferOutcome
-from ..core.stages import (
-    POLICIES,
-    AllDonorsPolicy,
-    ContractError,
-    FirstValidatedPolicy,
-    RepairResult,
-    SearchPolicy,
-    SmallestPatchPolicy,
-    Stage,
-    TransferContext,
-    TransferEngine,
-    get_policy,
-)
+from ..core.stages import RepairResult, TransferEngine
 from ..lang.vm import default_execution_tier, set_default_execution_tier
 from .facade import RepairReport, RepairRequest, RepairSession, SessionPool, repair
 from .progress import ProgressPrinter
 
 __all__ = [
-    "AllDonorsPolicy",
     "CandidateRejected",
     "CodePhageOptions",
-    "ContractError",
     "DonorAttempted",
     "EventBus",
     "EventLog",
-    "FirstValidatedPolicy",
     "Observer",
-    "POLICIES",
     "PatchValidated",
     "PipelineEvent",
     "ProgressPrinter",
@@ -64,19 +46,14 @@ __all__ = [
     "RepairResult",
     "RepairSession",
     "ResidualErrorFound",
-    "SearchPolicy",
     "SessionPool",
-    "SmallestPatchPolicy",
-    "Stage",
     "StageFinished",
     "StageStarted",
     "StageTimingObserver",
-    "TransferContext",
     "TransferEngine",
     "TransferMetrics",
     "TransferOutcome",
     "default_execution_tier",
-    "get_policy",
     "repair",
     "set_default_execution_tier",
 ]

@@ -3,11 +3,11 @@
 This is the single entry point every driver routes through — the CLI
 (``codephage transfer``), the experiment helpers (:mod:`repro.experiments`),
 and the campaign workers (:func:`repro.experiments.execute_job`).  A
-:class:`RepairSession` owns one configured stage-graph engine
+:class:`RepairSession` owns one configured transfer engine
 (:class:`~repro.core.stages.TransferEngine`) and one shared
 :class:`~repro.solver.equivalence.EquivalenceChecker`, so every request run
-through the same session shares solver verdicts; batch drivers (all-donors
-sweeps, campaign workers) construct one session and reuse it.
+through the same session shares solver verdicts; batch drivers (sweeps over
+several donors, campaign workers) construct one session and reuse it.
 
 Thread-safety contract
 ----------------------
@@ -36,7 +36,7 @@ from ..apps import get_application
 from ..apps.registry import Application, ErrorTarget
 from ..core.events import EventBus, EventLog, Observer, PipelineEvent
 from ..core.pipeline import CodePhageOptions, TransferMetrics, TransferOutcome
-from ..core.stages import SearchPolicy, TransferEngine
+from ..core.stages import TransferEngine
 from ..obs.metrics import MetricsEventObserver
 
 ApplicationRef = Union[Application, str]
@@ -50,8 +50,7 @@ class RepairRequest:
     :class:`Application` objects; ``target`` accepts a target id or an
     :class:`ErrorTarget`.  Pinning ``donor`` runs a single transfer; leaving
     it unset runs full donor selection (optionally restricted to
-    ``donors``).  ``policy`` overrides the session's configured search
-    policy for this request only.  ``probe_inputs`` lists additional known
+    ``donors``).  ``probe_inputs`` lists additional known
     error triggers (one per defect for multi-defect recipients); any probe
     still crashing a patched program counts as a residual error and drives
     another recursive repair round.
@@ -64,7 +63,6 @@ class RepairRequest:
     format_name: Optional[str] = None
     donor: Optional[ApplicationRef] = None
     donors: Optional[Sequence[ApplicationRef]] = None
-    policy: Union[str, SearchPolicy, None] = None
     probe_inputs: Sequence[bytes] = ()
 
     @classmethod
@@ -73,7 +71,6 @@ class RepairRequest:
         case,
         donor: Optional[ApplicationRef] = None,
         donors: Optional[Sequence[ApplicationRef]] = None,
-        policy: Union[str, SearchPolicy, None] = None,
     ) -> "RepairRequest":
         """Build a request from any *case-like* object.
 
@@ -97,7 +94,6 @@ class RepairRequest:
             format_name=case.format_name,
             donor=donor,
             donors=donors,
-            policy=policy,
             probe_inputs=probe_inputs,
         )
 
@@ -171,7 +167,7 @@ class RepairSession:
     # -- request API -------------------------------------------------------------------
 
     def run(self, request: RepairRequest) -> RepairReport:
-        """Run one repair request through the stage graph."""
+        """Run one repair request through the transfer engine."""
         if request.donor is not None and request.donors is not None:
             raise ValueError(
                 "pass either donor (pin one transfer) or donors (restrict the "
@@ -193,7 +189,6 @@ class RepairSession:
                     request.seed,
                     request.error_input,
                     request.format_name,
-                    policy=request.policy,
                     probe_inputs=request.probe_inputs,
                 )
                 attempts: tuple[TransferOutcome, ...] = (outcome,)
@@ -208,7 +203,6 @@ class RepairSession:
                     request.error_input,
                     request.format_name,
                     donors=donors,
-                    policy=request.policy,
                     probe_inputs=request.probe_inputs,
                 )
                 outcome, attempts = result.outcome, result.attempts
@@ -221,10 +215,9 @@ class RepairSession:
         case,
         donor: Optional[ApplicationRef] = None,
         donors: Optional[Sequence[ApplicationRef]] = None,
-        policy: Union[str, SearchPolicy, None] = None,
     ) -> RepairReport:
         """Run one case-like object (see :meth:`RepairRequest.for_case`)."""
-        return self.run(RepairRequest.for_case(case, donor=donor, donors=donors, policy=policy))
+        return self.run(RepairRequest.for_case(case, donor=donor, donors=donors))
 
     @staticmethod
     def _application(reference: ApplicationRef) -> Application:

@@ -20,9 +20,11 @@ mapping a canonical query key to the serialised verdict payload.  Properties:
   one path the same instance while it still describes the file, so a
   long-lived worker parses each line once, not once per job;
 * **crash-safe** — a torn trailing line (a writer killed mid-append) is left
-  unread by readers and sealed off with a newline by the next writer, so it
-  can never merge with a later entry; duplicate keys are idempotent (last
-  wins, verdicts are deterministic for a given key).
+  unread by readers and sealed off with a newline by the next writer that
+  holds the ``flock``.  Without ``fcntl`` there is no lock to heal under, so
+  the torn line merges with the next entry into one line that readers skip,
+  and that verdict is recomputed.  Duplicate keys are idempotent (last wins,
+  verdicts are deterministic for a given key).
 
 The cache is deliberately solver-agnostic: it stores opaque JSON payloads
 keyed by strings, and :mod:`repro.solver.equivalence` owns the
@@ -180,11 +182,13 @@ class PersistentSolverCache:
                 if fcntl is not None:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
                 try:
-                    # Heal a torn trailing line left by a crashed writer: close
-                    # it with a newline so this entry starts a fresh line
-                    # instead of merging with (and corrupting) the partial one.
                     size = handle.seek(0, os.SEEK_END)
-                    if size > 0:
+                    if fcntl is not None and size > 0:
+                        # Heal a torn trailing line left by a crashed writer:
+                        # close it with a newline so this entry starts a fresh
+                        # line.  Only under the lock: without it the last byte
+                        # may belong to a sibling's append still landing, and
+                        # the newline would end up as a stray blank line.
                         handle.seek(-1, os.SEEK_END)
                         if handle.read(1) != b"\n":
                             handle.write(b"\n")

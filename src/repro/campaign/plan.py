@@ -46,7 +46,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..core.patch import PatchStrategy
 from ..core.pipeline import CodePhageOptions
-from ..core.stages import POLICIES
 from ..experiments import ERROR_CASES, FIGURE8_ROWS
 from ..solver.equivalence import EquivalenceOptions
 
@@ -62,7 +61,6 @@ _PIPELINE_KEYS = frozenset(
         "max_candidate_checks",
         "max_recursive_patches",
         "filter_unstable_points",
-        "search_policy",
     }
 )
 
@@ -218,12 +216,6 @@ def _validated_variants(
             raise PlanError(
                 f"variant {variant_name!r} has unknown option override(s): "
                 + ", ".join(unknown)
-            )
-        policy = overrides.get("search_policy")
-        if policy is not None and policy not in POLICIES:
-            raise PlanError(
-                f"variant {variant_name!r} has unknown search policy {policy!r}; "
-                "expected one of " + ", ".join(sorted(POLICIES))
             )
     return variant_items
 

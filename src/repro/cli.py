@@ -3,7 +3,7 @@
 Subcommands::
 
     codephage list                       # applications and formats in the database
-    codephage transfer CASE [--donor D] [--progress] [--policy P]
+    codephage transfer CASE [--donor D] [--progress] [--trace PATH]
                                          # run one transfer (e.g. cwebp-jpegdec)
     codephage figure8 [--out FILE] [--jobs N] [--nodes N] [--resume]
                                          # regenerate the Figure 8 table
@@ -42,12 +42,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .api import (
-    POLICIES,
-    ProgressPrinter,
-    RepairRequest,
-    RepairSession,
-)
+from .api import ProgressPrinter, RepairRequest, RepairSession
 from .apps import all_applications, get_application
 from .campaign import (
     CampaignPlan,
@@ -115,15 +110,7 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
         tracer = Tracer()
         observers.append(TraceObserver(tracer))
     session = RepairSession(observers=observers)
-    request = RepairRequest(
-        recipient=case.application(),
-        target=case.target(),
-        seed=case.seed_input(),
-        error_input=case.error_input(),
-        format_name=case.format_name,
-        donor=get_application(donor_name),
-        policy=args.policy,
-    )
+    request = RepairRequest.for_case(case, donor=get_application(donor_name))
     if tracer is not None:
         with trace_session(tracer):
             report = session.run(request)
@@ -491,12 +478,6 @@ def main(argv: list[str] | None = None) -> int:
         "--verbose",
         action="store_true",
         help="with --progress, also print every rejected candidate and why",
-    )
-    transfer.add_argument(
-        "--policy",
-        choices=sorted(POLICIES),
-        default=None,
-        help="search policy for the candidate/donor retry loops",
     )
     transfer.add_argument(
         "--trace",

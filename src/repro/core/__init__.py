@@ -32,16 +32,7 @@ from .pipeline import (
 )
 from .reporting import ResultsDatabase, TransferRecord
 from .rewrite import RewriteResult, RewriteStatistics, Rewriter
-from .stages import (
-    POLICIES,
-    ContractError,
-    RepairResult,
-    SearchPolicy,
-    Stage,
-    TransferContext,
-    TransferEngine,
-    get_policy,
-)
+from .stages import RepairResult, TransferEngine
 from .traversal import RecipientName, collect_names, names_at_statement, traverse_cell
 from .validation import ValidationOptions, ValidationOutcome, validate_patch
 
@@ -49,7 +40,6 @@ __all__ = [
     "CandidateCheck",
     "CandidateRejected",
     "CodePhageOptions",
-    "ContractError",
     "DiscoveryResult",
     "DonorAttempted",
     "DonorCandidate",
@@ -61,7 +51,6 @@ __all__ = [
     "InsertionAccounting",
     "InsertionPoint",
     "InsertionReport",
-    "POLICIES",
     "PatchStrategy",
     "PatchValidated",
     "PipelineEvent",
@@ -72,12 +61,9 @@ __all__ = [
     "RewriteResult",
     "RewriteStatistics",
     "Rewriter",
-    "SearchPolicy",
-    "Stage",
     "StageFinished",
     "StageStarted",
     "StageTimingObserver",
-    "TransferContext",
     "TransferEngine",
     "TransferMetrics",
     "TransferOutcome",
@@ -85,7 +71,6 @@ __all__ = [
     "TransferredCheck",
     "ValidationOptions",
     "ValidationOutcome",
-    "get_policy",
     "build_patch",
     "collect_names",
     "discover_candidate_checks",

@@ -1,4 +1,4 @@
-"""The typed pipeline event stream (stage-graph observability).
+"""The typed pipeline event stream (pipeline observability).
 
 Every stage execution and every notable pipeline decision is reported as a
 :class:`PipelineEvent` on an :class:`EventBus`.  Stages never know who is
@@ -20,7 +20,7 @@ Event                    Emitted when
 =======================  ========================================================
 ``StageStarted``         a stage begins (name, round, free-form detail)
 ``StageFinished``        a stage completes, with its wall-clock ``elapsed_s``
-``DonorAttempted``       ``repair`` starts the stage graph against one donor
+``DonorAttempted``       ``repair`` starts the pipeline against one donor
 ``CandidateRejected``    a check / insertion point / patch is dropped, with why
 ``PatchValidated``       validation accepts a patch (sizes and location)
 ``ResidualErrorFound``   the validation rescan found errors; another round runs
@@ -58,7 +58,7 @@ class StageFinished(PipelineEvent):
 
 @dataclass(frozen=True)
 class DonorAttempted(PipelineEvent):
-    """``repair`` is about to run the full stage graph against one donor."""
+    """``repair`` is about to run the full pipeline against one donor."""
 
     donor: str
     index: int

@@ -3,7 +3,7 @@
 The stage sequencing that used to live here (paper Figure 4: donor selection,
 candidate check discovery, check excision, insertion-point identification,
 rewrite, patch generation, validation with retry over checks, points, and
-donors) now lives in the stage-graph engine (:mod:`repro.core.stages`) behind
+donors) now lives in the transfer engine (:mod:`repro.core.stages`) behind
 the public :mod:`repro.api` facade.  This module keeps the options and the
 result types: :class:`TransferMetrics` captures exactly the columns of the
 paper's Figure 8 plus the solver and per-stage timing accounting.
@@ -33,10 +33,6 @@ class CodePhageOptions:
     max_candidate_checks: int = 8
     max_recursive_patches: int = 4
     filter_unstable_points: bool = True
-    #: Which search policy drives the candidate/donor retry loops; one of
-    #: :data:`repro.core.stages.POLICIES` ("first-validated", "smallest-patch",
-    #: "all-donors").
-    search_policy: str = "first-validated"
 
 
 @dataclass

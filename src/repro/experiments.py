@@ -238,31 +238,6 @@ def execute_job(job, persistent_cache_path: Optional[str] = None) -> TransferOut
     return execute_job_report(job, persistent_cache_path=persistent_cache_path).outcome
 
 
-def run_case_with_all_donors(
-    case_id: str,
-    options: Optional[CodePhageOptions] = None,
-    session: Optional[RepairSession] = None,
-) -> list[TransferOutcome]:
-    """Run one error case against every donor listed for it.
-
-    All donors run through one shared session — one solver checker, one
-    cache, one incremental solver — exactly like a donor-selection repair's
-    donor loop, so the per-donor solver/cache statistics are comparable
-    across the two paths.  Each outcome's metrics carry the SAT solver's
-    counter deltas (``solver_backend_stats``) and query-batch hits for its
-    donor, the same fields campaign workers persist and
-    :class:`~repro.campaign.scheduler.CampaignReport` aggregates; later
-    donors benefit from earlier donors' learned clauses and deduped queries,
-    which is visible in those deltas.
-    """
-    case = ERROR_CASES[case_id]
-    session = session or RepairSession(options=options)
-    return [
-        run_row(Figure8Row(case_id=case_id, donor=donor), session=session)
-        for donor in case.donors
-    ]
-
-
 def discover_error_input(case_id: str) -> Optional[bytes]:
     """Re-discover an error-triggering input with the in-repo tools.
 

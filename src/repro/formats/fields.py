@@ -225,11 +225,6 @@ class FormatSpec(abc.ABC):
         """Field path -> concrete value for ``data``."""
         return self.field_map(data).values(data)
 
-    def default_values(self) -> dict[str, int]:
-        """The field values of the format's canonical seed input."""
-        seed = self.build()
-        return self.parse(seed)
-
     def with_values(self, base: bytes, **overrides: int) -> bytes:
         """Return a copy of ``base`` with the given field values replaced."""
         return self.field_map(base).with_values(

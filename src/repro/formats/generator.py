@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .fields import FormatSpec
 
@@ -66,10 +66,6 @@ class InputGenerator:
     def mutate_field(self, base: bytes, path: str, value: int) -> bytes:
         """Return ``base`` with a single field replaced."""
         return self.format.with_values(base, **{path: value})
-
-    def mutate_fields(self, base: bytes, values: Mapping[str, int]) -> bytes:
-        """Return ``base`` with several fields replaced."""
-        return self.format.with_values(base, **dict(values))
 
     def random_field_mutations(
         self, base: bytes, count: int, paths: Sequence[str] | None = None

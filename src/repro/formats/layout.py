@@ -114,9 +114,6 @@ class FixedLayoutFormat(FormatSpec):
         """The canonical seed input (all defaults)."""
         return self.build()
 
-    def field_paths(self) -> list[str]:
-        return [entry.path for entry in self.field_defaults]
-
     def describe(self) -> str:
         """A human-readable layout summary (used by the CLI and docs)."""
         lines = [f"format {self.name}: {self.description} ({self.total_size} bytes)"]

@@ -294,22 +294,6 @@ class TranslationUnit(Node):
                 return function
         raise KeyError(f"no function named {name!r}")
 
-    def has_function(self, name: str) -> bool:
-        return any(function.name == name for function in self.functions)
-
     def all_statements(self) -> Iterator[Statement]:
         for function in self.functions:
             yield from function.body.walk_statements()
-
-    def statement_by_id(self, node_id: int) -> Statement:
-        for statement in self.all_statements():
-            if statement.node_id == node_id:
-                return statement
-        raise KeyError(f"no statement with node id {node_id}")
-
-    def function_of_statement(self, node_id: int) -> FunctionDecl:
-        for function in self.functions:
-            for statement in function.body.walk_statements():
-                if statement.node_id == node_id:
-                    return function
-        raise KeyError(f"no statement with node id {node_id}")

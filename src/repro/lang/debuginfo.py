@@ -51,12 +51,6 @@ class DebugInfo:
         except KeyError:
             raise KeyError(f"no debug information for statement {statement_id}") from None
 
-    def function_of(self, statement_id: int) -> str:
-        try:
-            return self.functions[statement_id]
-        except KeyError:
-            raise KeyError(f"no debug information for statement {statement_id}") from None
-
     def has(self, statement_id: int) -> bool:
         return statement_id in self.scopes
 
@@ -65,11 +59,3 @@ class DebugInfo:
             if entry.name == name:
                 return entry
         return None
-
-    def statements_in(self, function: str) -> list[int]:
-        """All statement ids recorded for a function, in source order."""
-        return sorted(
-            statement_id
-            for statement_id, function_name in self.functions.items()
-            if function_name == function
-        )

@@ -57,10 +57,6 @@ class TaintedValue:
         return self.value
 
     @property
-    def is_tainted(self) -> bool:
-        return self.symbolic is not None
-
-    @property
     def truth(self) -> bool:
         return self.value != 0
 

@@ -11,7 +11,6 @@ from typing import Optional
 
 from . import ast
 from .lexer import Token, TokenKind, tokenize
-from .types import INTEGER_TYPE_NAMES
 
 
 class ParseError(Exception):
@@ -71,12 +70,6 @@ class Parser:
     def _expect_punct(self, text: str) -> Token:
         token = self._advance()
         if not token.is_punct(text):
-            raise ParseError(f"expected {text!r}, found {token.text!r}", token.line)
-        return token
-
-    def _expect_op(self, text: str) -> Token:
-        token = self._advance()
-        if not token.is_op(text):
             raise ParseError(f"expected {text!r}, found {token.text!r}", token.line)
         return token
 

@@ -25,20 +25,8 @@ class Type:
         return "type"
 
     @property
-    def is_integer(self) -> bool:
-        return isinstance(self, IntType)
-
-    @property
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
-
-    @property
     def is_struct(self) -> bool:
         return isinstance(self, StructType)
-
-    @property
-    def is_void(self) -> bool:
-        return isinstance(self, VoidType)
 
 
 @dataclass(frozen=True)
@@ -95,9 +83,6 @@ class StructType(Type):
 
     def __str__(self) -> str:
         return f"struct {self.name}"
-
-    def field_names(self) -> list[str]:
-        return [entry.name for entry in self.fields]
 
     def field_type(self, name: str) -> Type:
         for entry in self.fields:

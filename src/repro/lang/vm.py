@@ -60,7 +60,6 @@ from .types import (
     U8,
     U16,
     U32,
-    U64,
     integer_type,
     promote,
 )
@@ -276,12 +275,6 @@ class VM:
         return self.result
 
     # -- frames and errors -------------------------------------------------------------
-
-    @property
-    def current_frame(self) -> Frame:
-        if not self._frames:
-            raise VMError("no active frame")
-        return self._frames[-1]
 
     def _raise_error(self, kind: ErrorKind, message: str) -> None:
         frame = self._frames[-1] if self._frames else Frame(function="<entry>", invocation=0)

@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` per process (:data:`REGISTRY`), fed by cheap
 instrumentation hooks in the solver engine, the equivalence checker, the
-MicroC VM, the stage-graph engine (via :class:`MetricsEventObserver`), and
+MicroC VM, the transfer engine (via :class:`MetricsEventObserver`), and
 the campaign scheduler.  Recording is **disabled by default** and every
 recording call starts with one attribute check, so instrumented hot paths
 (solver queries, VM runs) pay near-zero overhead until someone opts in —

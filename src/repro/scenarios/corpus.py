@@ -124,18 +124,6 @@ class ScenarioCorpus:
                 f"corpus has no case {case_id!r} (known: {known})"
             ) from None
 
-    def by_kind(self) -> dict[ErrorKind, list[ScenarioPair]]:
-        grouped: dict[ErrorKind, list[ScenarioPair]] = {}
-        for pair in self.pairs:
-            grouped.setdefault(pair.error_kind, []).append(pair)
-        return grouped
-
-    def by_hardness(self) -> dict[str, list[ScenarioPair]]:
-        grouped: dict[str, list[ScenarioPair]] = {}
-        for pair in self.pairs:
-            grouped.setdefault(pair.hardness, []).append(pair)
-        return grouped
-
     def kind_of_case(self) -> dict[str, str]:
         """case id -> error-class value (campaign per-class accounting)."""
         return {pair.case_id: pair.error_kind.value for pair in self.pairs}

@@ -113,13 +113,6 @@ class ScenarioPair:
         """Every donor a matrix job should attempt, decoys first."""
         return (*self.decoy_donors, self.donor)
 
-    @property
-    def all_kinds(self) -> tuple[ErrorKind, ...]:
-        """Every seeded defect's kind, in defect order."""
-        if self.error_kinds:
-            return tuple(ErrorKind(value) for value in self.error_kinds)
-        return (self.error_kind,)
-
     def probe_inputs(self) -> tuple[bytes, ...]:
         """One known error trigger per defect (multi-defect pairs only)."""
         if not self.trigger_values:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 from ..campaign.plan import CampaignPlan, JobSpec, PlanError, matrix_plan
 from ..experiments import ERROR_CASES
@@ -213,9 +213,3 @@ class JobIdMinter:
         with self._lock:
             sequence = next(self._counter)
         return f"svc-{sequence:06d}-{submission.plan.jobs[0].job_id}"
-
-
-def default_donor(case_id: str) -> Optional[str]:
-    """The first listed donor for a known case (None for unknown cases)."""
-    case = ERROR_CASES.get(case_id)
-    return case.donors[0] if case and case.donors else None

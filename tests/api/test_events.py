@@ -1,9 +1,8 @@
-"""Event-stream unit tests: ordering, timing, contracts, bus mechanics."""
+"""Event-stream unit tests: ordering, timing, bus mechanics."""
 
 import pytest
 
 from repro import api
-from repro.core import CodePhageOptions, TransferMetrics
 from repro.core.events import (
     DonorAttempted,
     EventBus,
@@ -13,7 +12,6 @@ from repro.core.events import (
     StageStarted,
     StageTimingObserver,
 )
-from repro.core.stages import ContractError, Stage, TransferContext, TransferEngine
 from repro.experiments import ERROR_CASES
 
 #: The per-candidate sub-graph, in Figure 4 order.
@@ -104,55 +102,6 @@ class TestStageTimings:
             sum(transfer_report.metrics.stage_timings.values())
             <= transfer_report.metrics.generation_time_s
         )
-
-
-class _NeedsMissingInput(Stage):
-    name = "needs-missing-input"
-    requires = ("never-provided",)
-
-    def run(self, ctx):  # pragma: no cover - must not be reached
-        raise AssertionError("ran without its declared input")
-
-
-class _BreaksItsPromise(Stage):
-    name = "breaks-its-promise"
-    provides = ("promised",)
-
-    def run(self, ctx):
-        pass
-
-
-class TestContracts:
-    @pytest.fixture()
-    def engine_and_ctx(self):
-        engine = TransferEngine(options=CodePhageOptions())
-        ctx = TransferContext(
-            recipient=None,
-            target=None,
-            seed=b"",
-            error_input=b"",
-            format_spec=None,
-            options=engine.options,
-            checker=engine.checker,
-            events=engine.events,
-            metrics=TransferMetrics(),
-        )
-        return engine, ctx
-
-    def test_missing_input_is_a_contract_error(self, engine_and_ctx):
-        engine, ctx = engine_and_ctx
-        with pytest.raises(ContractError, match="requires 'never-provided'"):
-            engine.run_stage(_NeedsMissingInput(), ctx)
-
-    def test_missing_output_is_a_contract_error(self, engine_and_ctx):
-        engine, ctx = engine_and_ctx
-        with pytest.raises(ContractError, match="did not provide 'promised'"):
-            engine.run_stage(_BreaksItsPromise(), ctx)
-
-    def test_context_require_names_the_missing_key(self, engine_and_ctx):
-        _, ctx = engine_and_ctx
-        with pytest.raises(ContractError, match="'nope'"):
-            ctx.require("nope")
 
 
 class TestEventBus:

@@ -5,7 +5,7 @@ import pytest
 
 from repro import api
 from repro.core.reporting import TransferRecord
-from repro.experiments import ERROR_CASES, run_case_with_all_donors
+from repro.experiments import ERROR_CASES
 
 
 def _request(case_id: str, **fields) -> api.RepairRequest:
@@ -110,9 +110,10 @@ def test_pinning_a_donor_and_restricting_the_pool_is_an_error():
 
 
 def test_all_donors_helper_shares_one_checker():
-    """The all-donors sweep reuses a single session (comparable cache stats)."""
+    """A sweep over every listed donor on one session shares one checker."""
+    case = ERROR_CASES["cwebp-jpegdec"]
     session = api.RepairSession()
-    outcomes = run_case_with_all_donors("cwebp-jpegdec", session=session)
+    outcomes = [session.run_case(case, donor=donor).outcome for donor in case.donors]
     assert [outcome.donor for outcome in outcomes] == [
         "feh-2.9.3",
         "mtpaint-3.40",
@@ -127,3 +128,26 @@ def test_all_donors_helper_shares_one_checker():
     # Later donors replay earlier donors' verdicts from the shared in-memory
     # cache, which a per-donor fresh checker could never show.
     assert session.checker.statistics.cache_hits >= outcomes[0].metrics.solver_cache_hits
+
+
+def test_first_validated_repair_stops_at_the_first_success():
+    report = api.repair(_request("cwebp-jpegdec"))
+    assert report.success
+    assert len(report.attempts) < 3  # stopped short of the full pool
+    assert report.attempts[-1].success
+
+
+def test_the_search_policy_settings_are_gone():
+    """The engine has one search policy, so nothing selects another."""
+    import dataclasses
+
+    from repro.cli import main
+    from repro.core import CodePhageOptions
+
+    for name in ("SearchPolicy", "POLICIES", "get_policy", "Stage", "TransferContext"):
+        assert not hasattr(api, name), name
+    assert "policy" not in {field.name for field in dataclasses.fields(api.RepairRequest)}
+    assert not hasattr(CodePhageOptions(), "search_policy")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["transfer", "cwebp-jpegdec", "--policy", "smallest-patch"])
+    assert excinfo.value.code == 2

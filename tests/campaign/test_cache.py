@@ -71,6 +71,25 @@ def test_put_after_a_torn_line_does_not_lose_the_new_entry(tmp_path):
     assert "torn" not in reader
 
 
+def test_without_fcntl_a_torn_line_costs_only_the_next_verdict(tmp_path, monkeypatch):
+    """No lock, no heal: the torn line and the next entry merge into one
+    unparseable line that readers skip; later appends are unaffected."""
+    monkeypatch.setattr(cache_module, "fcntl", None)
+    path = tmp_path / "cache.jsonl"
+    PersistentSolverCache(path).put("before", {"verdict": "equivalent"})
+    with open(path, "a") as handle:
+        handle.write('{"k":"torn","v":{"verd')  # crashed writer, no newline
+    writer = PersistentSolverCache(path)
+    writer.put("merged", {"verdict": "not-equivalent"})
+    writer.put("after", {"verdict": "equivalent"})
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3 and all(line.strip() for line in lines)
+    reader = PersistentSolverCache(path)
+    assert reader.get("before") == {"verdict": "equivalent"}
+    assert reader.get("after") == {"verdict": "equivalent"}
+    assert "merged" not in reader and "torn" not in reader
+
+
 def test_query_key_is_symmetric():
     a = builder.add(_field("/a"), builder.const(1, 16))
     b = builder.mul(_field("/b"), builder.const(2, 16))

@@ -125,6 +125,15 @@ def test_a_solver_backend_override_is_an_unknown_key():
         JobSpec(case_id="dillo-png", donor="feh", overrides=(("backend", "cdcl"),)).build_options()
 
 
+def test_a_search_policy_override_is_an_unknown_key():
+    # The engine has one search policy, the paper's: a plan that still names
+    # one must fail at expansion rather than silently run first-validated.
+    with pytest.raises(PlanError, match="unknown option override.*search_policy"):
+        expand_plan(
+            cases=["cwebp-jpegdec"], variants={"smallest": {"search_policy": "smallest-patch"}}
+        )
+
+
 def test_donor_filter_must_not_silently_drop_a_requested_case():
     # feh donates to cwebp-jpegdec but not to gif2tiff-lzw: naming both cases
     # explicitly must fail loudly rather than quietly shrinking the plan.

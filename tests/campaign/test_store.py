@@ -271,3 +271,34 @@ def test_attempts_warn_on_truncated_final_record(store, plan):
     with pytest.warns(RuntimeWarning):
         completed = store.completed_ids()
     assert completed == {job.job_id for job in plan.jobs[:-1]}
+
+
+#: A store written before search policies were removed: one default job and
+#: one job under a ``search_policy`` override, both completed.
+SEARCH_POLICY_STORE = Path(__file__).with_name("data") / "search_policy_store"
+
+
+def test_a_store_with_a_search_policy_override_still_loads():
+    from repro.campaign import PlanError
+    from repro.core.reporting import ResultsDatabase
+    from repro.obs.bundle import bundle_from_store
+    from repro.obs.schema import ensure_valid_bundle
+
+    store = RunStore(SEARCH_POLICY_STORE)
+    plan = store.load_plan()
+    assert [dict(job.overrides) for job in plan.jobs] == [
+        {},
+        {"search_policy": "smallest-patch"},
+    ]
+    results = store.results()
+    assert all(results[job.job_id].completed for job in plan.jobs)
+    database = ResultsDatabase.load(SEARCH_POLICY_STORE / "results.json")
+    assert [record.success for record in database.records] == [True, True]
+    for job in plan.jobs:
+        bundle = ensure_valid_bundle(bundle_from_store(store, job.job_id))
+        assert bundle["repair"]["success"] is True
+        assert bundle["events"]
+    # Re-running the override job is a clean plan error, never a silent
+    # first-validated run recorded under the old variant.
+    with pytest.raises(PlanError, match="search_policy"):
+        plan.jobs[1].build_options()

@@ -71,6 +71,7 @@ class TestSubmission:
             ({"case": "cwebp-jpegdec", "strategy": "no-such-strategy"}, 400),
             ({"case": "cwebp-jpegdec", "overrides": {"typo_key": 1}}, 400),
             ({"case": "cwebp-jpegdec", "overrides": {"backend": "bogus"}}, 400),
+            ({"case": "cwebp-jpegdec", "overrides": {"search_policy": "smallest-patch"}}, 400),
             ({"case": "cwebp-jpegdec", "budget_s": -1}, 400),
             ({"case": "cwebp-jpegdec", "budget_s": 10**9}, 413),
             ({"kind": "bogus"}, 400),
@@ -83,6 +84,7 @@ class TestSubmission:
             "unknown-strategy",
             "unknown-override",
             "unknown-backend",
+            "unknown-search-policy",
             "negative-budget",
             "budget-over-cap",
             "unknown-kind",
