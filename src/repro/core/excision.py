@@ -17,6 +17,7 @@ from typing import Optional
 
 from ..formats.fields import FormatSpec
 from ..lang.checker import Program
+from ..lang.trace import RunResult
 from ..symbolic import builder, metrics
 from ..symbolic.expr import Expr
 from ..symbolic.simplify import SimplifyOptions
@@ -48,16 +49,23 @@ def excise_check(
     candidate: CandidateCheck,
     simplify_options: Optional[SimplifyOptions] = None,
     donor_name: str = "",
+    error_run: Optional[RunResult] = None,
 ) -> ExcisedCheck:
     """Re-execute the donor on the error-triggering input and excise the check.
 
     When ``simplify_options`` is None the condition recorded during candidate
-    discovery is reused; otherwise the donor is re-run with those options so
-    that the excised expression reflects them (used by the Figure 5 ablation).
+    discovery is reused; otherwise the condition is taken from the donor's
+    tracked run on the error input with those options, so that the excised
+    expression reflects them (used by the Figure 5 ablation).  ``error_run``
+    is that run when the caller already has it (candidate discovery made it
+    with the same options); without it the donor is re-run here.
     """
     condition = candidate.condition
     if simplify_options is not None:
-        error_run = run_instrumented(donor_program, format_spec, error_input, simplify_options)
+        if error_run is None:
+            error_run = run_instrumented(
+                donor_program, format_spec, error_input, simplify_options
+            )
         for record in error_run.branches:
             if record.branch_id == candidate.branch_id and record.symbolic is not None:
                 condition = record.symbolic

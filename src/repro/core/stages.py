@@ -33,7 +33,7 @@ from ..formats.generator import InputGenerator
 from ..formats.registry import get_format
 from ..lang.checker import Program, compile_program
 from ..lang.patcher import PatchError, apply_patch
-from ..lang.trace import ErrorKind
+from ..lang.trace import ErrorKind, RunResult
 from ..lang.vm import VM, VMConfig
 from ..solver.engine import diff_snapshots
 from ..solver.equivalence import EquivalenceChecker
@@ -352,7 +352,7 @@ class TransferEngine:
             metrics.flipped_branches.append(discovery.flipped_branches)
 
         for candidate in discovery.candidates[: self.options.max_candidate_checks]:
-            transferred = self._attempt_candidate(rnd, candidate)
+            transferred = self._attempt_candidate(rnd, candidate, discovery.error_run)
             if transferred is not None:
                 return transferred
             self.events.emit(
@@ -365,12 +365,15 @@ class TransferEngine:
             )
         return None
 
-    def _attempt_candidate(self, rnd: _Round, candidate) -> Optional[TransferredCheck]:
+    def _attempt_candidate(
+        self, rnd: _Round, candidate, error_run: RunResult
+    ) -> Optional[TransferredCheck]:
         """Excision, insertion, rewrite, patch generation and validation of one check."""
         options = self.options
         detail = f"{candidate.function}:{candidate.line}"
 
-        # §3.2: re-run the donor and excise the check into the symbolic IR.
+        # §3.2: excise the check into the symbolic IR from the donor's run on
+        # the error input (discovery made it with the same options).
         with self._stage("excision", rnd.index, detail):
             excised = excise_check(
                 rnd.donor.program(),
@@ -379,6 +382,7 @@ class TransferEngine:
                 candidate,
                 simplify_options=options.simplify_options,
                 donor_name=rnd.donor.full_name,
+                error_run=error_run,
             )
 
         # §3.3: candidate insertion points, with the unstable-point filter.
@@ -443,7 +447,11 @@ class TransferEngine:
     ) -> Optional[TransferredCheck]:
         """Validate ``patches`` in order; the first that validates is the result."""
         overflow_expr = None
-        if patches and rnd.target.error_kind is ErrorKind.INTEGER_OVERFLOW:
+        if (
+            patches
+            and self.options.validation.symbolic_overflow_check
+            and rnd.target.error_kind is ErrorKind.INTEGER_OVERFLOW
+        ):
             overflow_expr = _allocation_expression(rnd, self.options)
 
         baseline = RegressionBaseline(rnd.program, rnd.regression)

@@ -16,6 +16,12 @@ reproduction follows the same structure:
    input is only reported when the run actually fails with an integer
    overflow (or the out-of-bounds write it causes) at the targeted site.
 
+A confirming run is skipped when an earlier trial of the same ``Diode`` read
+the same bytes: MicroC reads its input forward only, so an untracked run
+depends on nothing but ``data[:input_extent]`` and ``len(data)`` (see
+``docs/VM.md``), and such a trial reuses the earlier result.  The memo never
+changes what is judged: every assignment still counts as a trial.
+
 The same machinery is reused by patch validation ("CP runs the patched version
 of the application through the DIODE error discovery tool to determine if
 DIODE can generate new error-triggering inputs", §2).
@@ -75,9 +81,14 @@ class Diode:
         self.options = options or DiodeOptions()
         self.checker = checker or EquivalenceChecker()
         self.trials = 0
+        #: Trials that ran the VM; the rest reused an earlier trial's result.
+        self.runs = 0
         # One VM serves every trial: runs reset all per-run state, and an
         # untracked run needs no field map (no byte gets a symbolic label).
         self._trial_vm = VM(program, config=VMConfig(track_symbolic=False))
+        # Trial results by the bytes their run read, shared by every site this
+        # instance attacks: len(data) -> input extent -> data[:extent] -> result.
+        self._memo: dict[int, dict[int, dict[bytes, RunResult]]] = {}
 
     # -- public API ---------------------------------------------------------------
 
@@ -114,7 +125,8 @@ class Diode:
         The trial budget applies per site (``self.trials`` accumulates the
         total across sites as a statistic only).  The seed's field map is
         parsed once per site; each trial only writes its assignment into a
-        copy of the seed and runs it untracked.
+        copy of the seed and runs it untracked, unless an earlier trial read
+        the same bytes (:meth:`_trial`).
         """
         if record.symbolic is None:
             return None
@@ -133,7 +145,7 @@ class Diode:
             site_trials += 1
             self.trials += 1
             candidate = field_map.with_values(seed, assignment)
-            result = self._trial_vm.run(candidate)
+            result = self._trial(candidate)
             if self._hits_site(result, record):
                 return OverflowFinding(
                     error_input=candidate,
@@ -195,6 +207,20 @@ class Diode:
         """A tracked run: its allocation records carry symbolic sizes."""
         vm = VM(self.program, config=VMConfig(track_symbolic=True))
         return vm.run(data, field_map=self.format.field_map(data))
+
+    def _trial(self, data: bytes) -> RunResult:
+        """The untracked run of ``data``, reused from an earlier trial when one
+        of the same length read the same bytes (it cannot behave differently)."""
+        by_extent = self._memo.setdefault(len(data), {})
+        for extent, results in by_extent.items():
+            result = results.get(data[:extent])
+            if result is not None:
+                return result
+        self.runs += 1
+        result = self._trial_vm.run(data)
+        extent = result.input_extent
+        by_extent.setdefault(extent, {})[data[:extent]] = result
+        return result
 
     def _hits_site(self, result: RunResult, record: AllocationRecord) -> bool:
         """Whether the run failed with an overflow (or resulting OOB) at the site."""

@@ -1620,7 +1620,7 @@ def execute_artifact(vm: VM, compiled: CompiledProgram, rt: Runtime, invoke_fn, 
 
     Leaves the ``vm.globals``/``vm.heap``/``vm.result`` postconditions of an
     interpreter run and returns the result with status, exit code, error,
-    output and steps; the caller adds the trace records.
+    output, steps and input extent; the caller adds the trace records.
     """
     vm.globals = {}
     gslots = rt.gslots
@@ -1646,6 +1646,7 @@ def execute_artifact(vm: VM, compiled: CompiledProgram, rt: Runtime, invoke_fn, 
         result.error = signal.report
         result.exit_code = 1
     result.steps = rt.steps
+    result.input_extent = min(rt.cursor, rt.data_len)
     return result
 
 

@@ -121,6 +121,10 @@ class RunResult:
     divisions: list[DivisionRecord] = field(default_factory=list)
     steps: int = 0
     fields_read: frozenset[str] = frozenset()
+    #: How many leading input bytes the run could have observed:
+    #: ``min(final cursor, len(data))``.  Input is read forward only, so an
+    #: untracked run is a function of ``data[:input_extent]`` and ``len(data)``.
+    input_extent: int = 0
 
     @property
     def ok(self) -> bool:

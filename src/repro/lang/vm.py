@@ -257,6 +257,7 @@ class VM:
             self.result.exit_code = 1
         self.result.steps = self._steps
         self.result.fields_read = frozenset(self._stream.fields_read)
+        self.result.input_extent = min(self._stream.cursor, len(data))
         if registry is not None:
             registry.inc("vm.runs")
             registry.inc("vm.runs_interpreted")

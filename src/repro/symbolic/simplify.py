@@ -25,7 +25,7 @@ Memoisation
 
 Expressions are hash-consed (:mod:`repro.symbolic.expr`), so a node can be
 used as an O(1) identity dictionary key.  :func:`simplify` exploits that with
-a process-wide memo table keyed by ``(options, node)``: a subtree shared by
+a process-wide memo table keyed by options and node: a subtree shared by
 many parents — or appearing in many queries, which is the common case when
 the rewrite stage compares one excised check against dozens of recipient
 names — is simplified exactly once per process.  The memo makes the pass a
@@ -38,6 +38,7 @@ counters for the interning benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import builder
@@ -73,6 +74,18 @@ class SimplifyOptions:
     algebraic_identities: bool = True
     bit_slicing: bool = True
     max_slice_width: int = 128
+
+    @cached_property
+    def memo_key(self) -> tuple:
+        """The simplify memo's key, computed once per object: equal options
+        built anywhere (every job builds its own) share memo entries without
+        the generated ``__hash__``/``__eq__`` running on each lookup."""
+        return (
+            self.constant_folding,
+            self.algebraic_identities,
+            self.bit_slicing,
+            self.max_slice_width,
+        )
 
     @classmethod
     def none(cls) -> "SimplifyOptions":
@@ -460,9 +473,10 @@ def _rebuild(expr: Expr, children: Sequence[Expr]) -> Expr:
     return expr
 
 
-#: Process-wide memo: (options, interned node) -> simplified interned node.
-#: Holds strong references; flushed together with the intern table.
-_SIMPLIFY_MEMO: dict[tuple[SimplifyOptions, Expr], Expr] = {}
+#: Process-wide memo: options' ``memo_key`` -> interned node -> simplified
+#: interned node.  Holds strong references; flushed together with the intern
+#: table.
+_SIMPLIFY_MEMO: dict[tuple, dict[Expr, Expr]] = {}
 
 #: Hit/visit counters for the interning benchmarks.  ``visits`` counts nodes
 #: actually simplified (memo misses); ``hits`` counts memo short-circuits.
@@ -493,7 +507,10 @@ def simplify(expr: Expr, options: SimplifyOptions = DEFAULT_OPTIONS) -> Expr:
     Memoised over the expression DAG: shared subtrees (within this call or
     across any earlier call in the process) are simplified once.
     """
-    return _simplify(expr, options, _SIMPLIFY_MEMO)
+    memo = _SIMPLIFY_MEMO.get(options.memo_key)
+    if memo is None:
+        memo = _SIMPLIFY_MEMO[options.memo_key] = {}
+    return _simplify(expr, options, memo)
 
 
 def simplify_reference(expr: Expr, options: SimplifyOptions = DEFAULT_OPTIONS) -> Expr:
@@ -506,12 +523,9 @@ def simplify_reference(expr: Expr, options: SimplifyOptions = DEFAULT_OPTIONS) -
     return _simplify(expr, options, None)
 
 
-def _simplify(
-    expr: Expr, options: SimplifyOptions, memo: Optional[dict[tuple[SimplifyOptions, Expr], Expr]]
-) -> Expr:
+def _simplify(expr: Expr, options: SimplifyOptions, memo: Optional[dict[Expr, Expr]]) -> Expr:
     if memo is not None:
-        key = (options, expr)
-        cached = memo.get(key)
+        cached = memo.get(expr)
         if cached is not None:
             _STATS["hits"] += 1
             return cached
@@ -538,5 +552,5 @@ def _simplify(
             expr = _slice_normalise(expr, options)
 
     if memo is not None:
-        memo[(options, original)] = expr
+        memo[original] = expr
     return expr

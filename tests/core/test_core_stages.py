@@ -21,6 +21,7 @@ from repro.lang import compile_program, parse_expression
 from repro.lang.debuginfo import ScopeVariable
 from repro.solver import EquivalenceChecker
 from repro.symbolic import builder, evaluate
+from repro.symbolic.simplify import SimplifyOptions
 
 
 CASE = ERROR_CASES["cwebp-jpegdec"]
@@ -107,6 +108,23 @@ class TestExcision:
         excised = excise_check(donor.program(), fmt, case.error_input(), candidate)
         assert evaluate(excised.guard, fmt.parse(case.error_input())) == 1
         assert evaluate(excised.guard, fmt.parse(case.seed_input())) == 0
+
+    @pytest.mark.parametrize(
+        "options", [SimplifyOptions(), SimplifyOptions.without_bit_slicing()],
+        ids=["default", "without-bit-slicing"],
+    )
+    def test_discovery_error_run_gives_the_rerun_condition(self, options):
+        """Passing discovery's error run excises what re-running the donor does."""
+        donor = get_application("feh")
+        discovery = discover_candidate_checks(
+            donor.program(), FMT, SEED, ERROR, simplify_options=options
+        )
+        for candidate in discovery.candidates:
+            rerun = excise_check(donor.program(), FMT, ERROR, candidate, options)
+            reused = excise_check(
+                donor.program(), FMT, ERROR, candidate, options, error_run=discovery.error_run
+            )
+            assert reused == rerun
 
 
 class TestTraversalAndInsertion:

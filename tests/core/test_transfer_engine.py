@@ -65,3 +65,30 @@ def test_the_unstable_point_filter_decides_which_points_are_tried():
     unfiltered = accounting(False)
     tried = unfiltered.untranslatable_points + unfiltered.usable_points
     assert tried == unfiltered.candidate_points
+
+
+
+def test_tracked_runs_are_discoverys_two_plus_the_size_run_on_request(monkeypatch):
+    """Excision reuses check discovery's donor run on the error input, and the
+    allocation-size expression (a tracked recipient run) is built only for
+    ``symbolic_overflow_check``."""
+    from repro.core import check_discovery, excision
+    from repro.core.validation import ValidationOptions
+
+    runs = []
+    real = check_discovery.run_instrumented
+
+    def counting(program, *args):
+        runs.append(program.name)
+        return real(program, *args)
+
+    for module in (check_discovery, excision, stages):
+        monkeypatch.setattr(module, "run_instrumented", counting)
+    assert _run("cwebp-jpegdec", donor="feh").success
+    donor_runs = list(runs)
+    assert len(donor_runs) == 2 and len(set(donor_runs)) == 1
+
+    runs.clear()
+    options = CodePhageOptions(validation=ValidationOptions(symbolic_overflow_check=True))
+    assert _run("cwebp-jpegdec", options, donor="feh").success
+    assert runs[:2] == donor_runs and len(runs) == 3 and runs[2] != donor_runs[0]

@@ -3,9 +3,10 @@
 The compiled bytecode tier is only allowed to be the default execution path
 because this harness shows it is observationally identical to the
 tree-walking interpreter: same outputs, same heap state, same trace
-records, same error verdicts, same step counts — on a property-based corpus
-of generated MicroC programs spanning all six :class:`ErrorKind` defect
-templates, plus every hand-written application in the Figure 8 corpus.
+records, same error verdicts, same step counts, same input extent — on a
+property-based corpus of generated MicroC programs spanning all six
+:class:`ErrorKind` defect templates, plus every hand-written application in
+the Figure 8 corpus.
 
 Three columns are compared against the interpreter:
 
@@ -118,6 +119,7 @@ def _canonical_result(result: RunResult, vm: VM) -> dict:
         "error": error,
         "output": list(result.output),
         "steps": result.steps,
+        "input_extent": result.input_extent,
         "fields_read": sorted(result.fields_read),
         "branches": [
             (r.branch_id, r.function, r.line, r.taken, r.condition_value,
@@ -369,9 +371,20 @@ def test_operator_matrix_has_no_tier_divergence() -> None:
 # Constructs the generated corpus rarely reaches: pointers to locals and
 # parameters, structs through pointers and struct assignment, recursion,
 # a local shadowing a global of the same type, exits, sparse and null
-# buffers, and running out of steps.
+# buffers, running out of steps, and skips and reads past the input's end.
 
 EDGE_PROGRAMS = {
+    "input cursor": ("""
+        int main() {
+            u8 n = read_byte();
+            skip_bytes(n);
+            emit(input_remaining());
+            u32 w = read_u32_le();
+            emit(w);
+            return 0;
+        }
+    """, (b"", bytes([1, 9, 0, 5, 7, 8, 9]), bytes([0, 1, 2, 3, 4, 5, 6]),
+          bytes([200, 1, 2])), {}),
     "pointers to locals and parameters": ("""
         void bump(u32* p) {
             *p = *p + 1;

@@ -1,5 +1,7 @@
 """Unit tests for the simplifier, including the literal Figure 5 rules."""
 
+import dataclasses
+
 from repro.symbolic import (
     Constant,
     InputField,
@@ -8,6 +10,7 @@ from repro.symbolic import (
     operation_count,
     simplify,
 )
+from repro.symbolic.simplify import simplify_cache_stats
 from figure5_rules import apply_figure5_rule
 
 
@@ -102,6 +105,21 @@ class TestOptions:
         without = simplify(assembled, SimplifyOptions.without_bit_slicing())
         with_rules = simplify(assembled)
         assert operation_count(with_rules) < operation_count(without)
+
+    def test_equal_options_objects_share_memo_entries(self):
+        assembled = builder.bvor(builder.shl(builder.zext(H, 32), 16), builder.zext(W, 32))
+        first = simplify(assembled, SimplifyOptions(max_slice_width=64))
+        before = simplify_cache_stats()
+        assert simplify(assembled, SimplifyOptions(max_slice_width=64)) is first
+        after = simplify_cache_stats()
+        assert after["visits"] == before["visits"]
+        assert after["hits"] == before["hits"] + 1
+
+    def test_the_memo_key_names_every_option(self):
+        options = SimplifyOptions.none()
+        assert options.memo_key == tuple(
+            getattr(options, field.name) for field in dataclasses.fields(options)
+        )
 
 
 class TestFigure5Rules:

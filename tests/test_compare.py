@@ -6,6 +6,7 @@ benchmark.
 """
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -160,3 +161,32 @@ def test_pairs_alternate_which_side_runs_first():
     assert [compare.sides_in_order(pair)[0] for pair in range(4)] == [
         "base", "change", "base", "change"
     ]
+
+
+def test_the_change_side_is_a_copy_of_what_git_would_commit(tmp_path):
+    root, copy = tmp_path / "tree", tmp_path / "copy"
+    root.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=root, check=True, stdout=subprocess.DEVNULL)
+
+    (root / ".gitignore").write_text("*.log\n")
+    (root / "pkg").mkdir()
+    (root / "pkg" / "edited.py").write_text("committed\n")
+    (root / "gone.py").write_text("committed\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (root / "pkg" / "edited.py").write_text("uncommitted edit\n")
+    (root / "pkg" / "new.py").write_text("untracked\n")
+    (root / "run.log").write_text("ignored\n")
+    (root / "gone.py").unlink()
+
+    compare.copy_tree(root, copy)
+    assert (copy / "pkg" / "edited.py").read_text() == "uncommitted edit\n"
+    assert (copy / "pkg" / "new.py").read_text() == "untracked\n"
+    assert (copy / ".gitignore").exists()
+    assert not (copy / "run.log").exists()
+    assert not (copy / "gone.py").exists()
+    assert not (copy / ".git").exists()

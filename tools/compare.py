@@ -5,7 +5,10 @@
                              [--seconds S] [--first-seed K] [--trace]
 
 Runs the benchmark command of ``BENCHMARK.json`` (``perfbench/run.py``) in
-a temporary checkout of REV (``git archive``) and in this tree.  Pair ``i``
+a temporary checkout of REV (``git archive``) and in a temporary copy of
+this tree (the files ``git ls-files --cached --others --exclude-standard``
+lists: uncommitted edits and new files included, ignored files left out), so
+both sides run from fresh directories alike.  Pair ``i``
 runs both sides on seed ``K + i``; even pairs run the base first, odd pairs
 the change.  For every end-to-end metric of ``BENCHMARK.json`` and every
 workload it prints both medians, the ratio, the change's wins and each
@@ -37,6 +40,8 @@ import argparse
 import io
 import json
 import math
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -151,6 +156,25 @@ def checkout(rev: str, into: Path) -> None:
             tar.extractall(into)
 
 
+def copy_tree(root: Path, into: Path) -> None:
+    """Copy the files of the tree at ``root`` that git would commit into ``into``.
+
+    Tracked files as they are on disk and untracked files that are not
+    ignored; a tracked file deleted from the disk is left out.
+    """
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, stdout=subprocess.PIPE, check=True,
+    ).stdout
+    for name in map(os.fsdecode, filter(None, listed.split(b"\0"))):
+        source = root / name
+        if not source.is_file():
+            continue
+        target = into / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
+
+
 def run_benchmark(root: Path, command: list[str], workload: str, seed: int,
                   seconds: float, trace: bool) -> dict:
     completed = subprocess.run(
@@ -205,9 +229,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     verdicts: list[str] = []
-    with tempfile.TemporaryDirectory(prefix="compare-base-") as base_dir:
+    with tempfile.TemporaryDirectory(prefix="compare-base-") as base_dir, \
+            tempfile.TemporaryDirectory(prefix="compare-change-") as change_dir:
         checkout(rev, Path(base_dir))
-        roots = {"base": Path(base_dir), "change": ROOT}
+        copy_tree(ROOT, Path(change_dir))
+        roots = {"base": Path(base_dir), "change": Path(change_dir)}
         for workload in workloads:
             seeds = range(args.first_seed, args.first_seed + args.pairs)
             print(f"{workload}: {args.pairs} pairs of {seconds:g} s runs, seeds "
