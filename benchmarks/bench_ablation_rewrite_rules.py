@@ -30,8 +30,7 @@ def _excised_sizes(simplify_options):
         if not discovery.candidates:
             continue
         excised = excise_check(
-            donor.program(), fmt, error, discovery.candidates[0],
-            simplify_options=simplify_options, donor_name=row.donor,
+            discovery.candidates[0], donor_name=row.donor, error_run=discovery.error_run
         )
         sizes[(case.case_id, row.donor)] = operation_count(excised.condition)
     return sizes

@@ -47,7 +47,7 @@ def rewrite_inputs():
     discovery = discover_candidate_checks(
         donor.program(), fmt, seed, error, relevant=relevant_fields(fmt, seed, error)
     )
-    excised = excise_check(donor.program(), fmt, error, discovery.candidates[0], donor_name="feh")
+    excised = excise_check(discovery.candidates[0], donor_name="feh")
     report = find_insertion_points(
         CASE.application().program(), seed, fmt.field_map(seed), excised.fields
     )

@@ -27,7 +27,7 @@ def _insertion_report(case_id: str, donor_name: str):
     discovery = discover_candidate_checks(
         donor.program(), fmt, seed, error, relevant=relevant_fields(fmt, seed, error)
     )
-    excised = excise_check(donor.program(), fmt, error, discovery.candidates[0])
+    excised = excise_check(discovery.candidates[0])
     return find_insertion_points(
         case.application().program(), seed, fmt.field_map(seed), excised.fields
     )

@@ -4,10 +4,11 @@ Excision turns a candidate donor check into its application-independent form:
 a symbolic expression over named input fields capturing every computation the
 donor performed to produce the branch condition — endianness conversions,
 casts, shifts, masks, and all.  In this reproduction the instrumented VM
-already reconstructs that expression during execution; excision re-runs the
-donor on the error-triggering input with the requested simplification options
-(the rewrite-rule ablation disables the Figure 5 rules here) and extracts the
-condition of the chosen branch.
+already reconstructs that expression during execution: excision takes the
+condition of the chosen branch from the donor's tracked run on the
+error-triggering input, the run check discovery made with the requested
+simplification options (the rewrite-rule ablation disables the Figure 5
+rules there).
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..formats.fields import FormatSpec
-from ..lang.checker import Program
 from ..lang.trace import RunResult
 from ..symbolic import builder, metrics
 from ..symbolic.expr import Expr
-from ..symbolic.simplify import SimplifyOptions
-from .check_discovery import CandidateCheck, run_instrumented
+from .check_discovery import CandidateCheck
 
 
 @dataclass(frozen=True)
@@ -43,29 +41,20 @@ class ExcisedCheck:
 
 
 def excise_check(
-    donor_program: Program,
-    format_spec: FormatSpec,
-    error_input: bytes,
     candidate: CandidateCheck,
-    simplify_options: Optional[SimplifyOptions] = None,
     donor_name: str = "",
     error_run: Optional[RunResult] = None,
 ) -> ExcisedCheck:
-    """Re-execute the donor on the error-triggering input and excise the check.
+    """Excise ``candidate`` into its application-independent form.
 
-    When ``simplify_options`` is None the condition recorded during candidate
-    discovery is reused; otherwise the condition is taken from the donor's
-    tracked run on the error input with those options, so that the excised
-    expression reflects them (used by the Figure 5 ablation).  ``error_run``
-    is that run when the caller already has it (candidate discovery made it
-    with the same options); without it the donor is re-run here.
+    ``error_run`` is the donor's tracked run on the error input (check
+    discovery's ``error_run``); the condition is that of its first symbolic
+    record of the candidate's branch, so it reflects the simplification
+    options the run was made with.  Without it the condition recorded during
+    candidate discovery is used.
     """
     condition = candidate.condition
-    if simplify_options is not None:
-        if error_run is None:
-            error_run = run_instrumented(
-                donor_program, format_spec, error_input, simplify_options
-            )
+    if error_run is not None:
         for record in error_run.branches:
             if record.branch_id == candidate.branch_id and record.symbolic is not None:
                 condition = record.symbolic

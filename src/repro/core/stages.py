@@ -376,13 +376,7 @@ class TransferEngine:
         # the error input (discovery made it with the same options).
         with self._stage("excision", rnd.index, detail):
             excised = excise_check(
-                rnd.donor.program(),
-                rnd.format_spec,
-                rnd.error,
-                candidate,
-                simplify_options=options.simplify_options,
-                donor_name=rnd.donor.full_name,
-                error_run=error_run,
+                candidate, donor_name=rnd.donor.full_name, error_run=error_run
             )
 
         # §3.3: candidate insertion points, with the unstable-point filter.

@@ -21,7 +21,6 @@ from repro.lang import compile_program, parse_expression
 from repro.lang.debuginfo import ScopeVariable
 from repro.solver import EquivalenceChecker
 from repro.symbolic import builder, evaluate
-from repro.symbolic.simplify import SimplifyOptions
 
 
 CASE = ERROR_CASES["cwebp-jpegdec"]
@@ -90,8 +89,7 @@ class TestCheckDiscovery:
 
 class TestExcision:
     def test_guard_follows_error_direction(self, feh_discovery):
-        donor = get_application("feh")
-        excised = excise_check(donor.program(), FMT, ERROR, feh_discovery.candidates[0])
+        excised = excise_check(feh_discovery.candidates[0])
         assert excised.guard == excised.condition  # error direction is "taken"
         assert excised.fields >= relevant_fields(FMT, SEED, ERROR)
         assert excised.operation_count > 0
@@ -105,26 +103,9 @@ class TestExcision:
         )
         candidate = discovery.candidates[0]
         assert candidate.error_direction is False  # `if (real_len)` not taken on the error input
-        excised = excise_check(donor.program(), fmt, case.error_input(), candidate)
+        excised = excise_check(candidate)
         assert evaluate(excised.guard, fmt.parse(case.error_input())) == 1
         assert evaluate(excised.guard, fmt.parse(case.seed_input())) == 0
-
-    @pytest.mark.parametrize(
-        "options", [SimplifyOptions(), SimplifyOptions.without_bit_slicing()],
-        ids=["default", "without-bit-slicing"],
-    )
-    def test_discovery_error_run_gives_the_rerun_condition(self, options):
-        """Passing discovery's error run excises what re-running the donor does."""
-        donor = get_application("feh")
-        discovery = discover_candidate_checks(
-            donor.program(), FMT, SEED, ERROR, simplify_options=options
-        )
-        for candidate in discovery.candidates:
-            rerun = excise_check(donor.program(), FMT, ERROR, candidate, options)
-            reused = excise_check(
-                donor.program(), FMT, ERROR, candidate, options, error_run=discovery.error_run
-            )
-            assert reused == rerun
 
 
 class TestTraversalAndInsertion:
@@ -200,9 +181,7 @@ class TestTraversalAndInsertion:
         assert any("data->width" in paths for paths in collected.values())
 
     def test_insertion_points_require_all_fields(self, feh_discovery):
-        excised = excise_check(
-            get_application("feh").program(), FMT, ERROR, feh_discovery.candidates[0]
-        )
+        excised = excise_check(feh_discovery.candidates[0])
         report = find_insertion_points(
             CASE.application().program(), SEED, FMT.field_map(SEED), excised.fields
         )

@@ -72,7 +72,7 @@ def test_tracked_runs_are_discoverys_two_plus_the_size_run_on_request(monkeypatc
     """Excision reuses check discovery's donor run on the error input, and the
     allocation-size expression (a tracked recipient run) is built only for
     ``symbolic_overflow_check``."""
-    from repro.core import check_discovery, excision
+    from repro.core import check_discovery
     from repro.core.validation import ValidationOptions
 
     runs = []
@@ -82,7 +82,7 @@ def test_tracked_runs_are_discoverys_two_plus_the_size_run_on_request(monkeypatc
         runs.append(program.name)
         return real(program, *args)
 
-    for module in (check_discovery, excision, stages):
+    for module in (check_discovery, stages):
         monkeypatch.setattr(module, "run_instrumented", counting)
     assert _run("cwebp-jpegdec", donor="feh").success
     donor_runs = list(runs)
